@@ -26,7 +26,7 @@ from .cyclotomic import (
     reduce,
     sin_sign,
 )
-from .errors import DivisionByZeroQuantumInteger, UsageError
+from .errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
 from .lattice import discreteness_certificate, lattice_element, naive_norm_formula, psi_norm_sq
 from .positivity import (
     Crosscheck,

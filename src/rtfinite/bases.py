@@ -11,7 +11,7 @@ from itertools import product
 
 from .context import LevelContext
 from .errors import UsageError
-from .quantum import QuantumFactored, bracket_color, qint, theta_symbol
+from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, qint, theta_symbol
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,15 @@ def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
 
 
 def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:
-    """<u_j, u_j> / <u_0, u_0>, the product of the first j one-step ratios."""
+    """<u_j, u_j> / <u_0, u_0>, the product of the first j one-step ratios.
+
+    The product telescopes to
+    [2c+j+1]! [j]! [c+1]! [c]! / ([2c+1]! [c+j+1]! [c+j]!).
+    """
     _check_lollipop_color(level, c)
     if not 1 <= j <= level.r - 2 - 2 * c:
         raise UsageError(f"index j = {j} out of range for r = {level.r}, c = {c}")
-    value = QuantumFactored(1, ())
-    for i in range(j):
-        value = value * lollipop_ratio_step(level, c, i).value
+    value = qfactorial_ratio((2 * c + j + 1, j, c + 1, c), (2 * c + 1, c + j + 1, c + j))
     return GramRatio(LollipopVector(c, j), LollipopVector(c, 0), value)
 
 

@@ -2,7 +2,8 @@
 reproduction, and machine-readable reports.
 
 Exit codes: 0 = completed, 2 = usage error, 3 = internal invariant
-violation (a cross-check disagreement in verify-theorem).
+violation (a cross-check disagreement in verify-theorem, or an
+InvariantViolation raised by the library).
 """
 
 import argparse
@@ -13,14 +14,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from sympy import primerange
 
-from .bases import lollipop_basis, lollipop_ratio_cumulative
+from .bases import lollipop_ratio_cumulative
 from .context import LevelContext
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 from .lattice import discreteness_certificate
 from .positivity import (
     Crosscheck,
@@ -73,7 +74,7 @@ def _witness_dict(verdict: FinitenessVerdict, level=None, c=None) -> Optional[di
 def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRecord:
     start = time.perf_counter()
     verdict = decide_torus(r, c, p_choice, experimental)
-    level = LevelContext.at(r if p_choice == "r" else 2 * r)
+    level = verdict.report.level
     return ReportRecord(
         parameters={"command": "decide-torus", "r": r, "c": c, "p": level.p},
         verdict=verdict.verdict.value,
@@ -81,7 +82,7 @@ def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRe
         witness=_witness_dict(verdict, level, c),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
-        dimension=len(lollipop_basis(level, c)),
+        dimension=r - 1 - 2 * c,
         timing_s=round(time.perf_counter() - start, 6),
     )
 
@@ -167,12 +168,20 @@ def _cmd_decide_closed(args) -> int:
     return EXIT_OK
 
 
+def scan_workers(jobs: int, cpu_count: Optional[int], tasks: int) -> int:
+    """Worker processes for a scan: --jobs, capped by the cores and the tasks."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, cpu_count or 1, tasks)
+
+
 def _cmd_scan(args) -> int:
     if args.r_max < 5:
         raise UsageError("scan needs --r-max >= 5")
     primes = list(primerange(5, args.r_max + 1))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_scan_prime, primes))
     else:
         chunks = [_scan_prime(r) for r in primes]
@@ -180,9 +189,7 @@ def _cmd_scan(args) -> int:
     records.sort(key=lambda rec: (rec.parameters["r"], rec.parameters["c"]))
     # wall-clock timings are run-dependent; zero them so equal configs
     # produce bitwise identical output
-    records = [
-        ReportRecord(**{**rec.to_dict(), "timing_s": 0.0}) for rec in records
-    ]
+    records = [replace(rec, timing_s=0.0) for rec in records]
     _emit(_render(records, args.format), args.out)
     return EXIT_OK
 
@@ -340,6 +347,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -205,7 +205,13 @@ class EmbeddingIndex:
         return cmath.exp(1j * pi * self.k / self.p)
 
 
+def embedding_ks(p: int):
+    """The canonical k <= p with gcd(k, 2p) = 1, ascending, generated lazily
+    so that a scan which stops early never builds the rest."""
+    return (k for k in range(1, p + 1) if gcd(k, 2 * p) == 1)
+
+
 def embeddings(level) -> list[EmbeddingIndex]:
     """All canonical embedding indices k <= p with gcd(k, 2p) = 1, ascending."""
     p = level.p if isinstance(level, LevelContext) else int(level)
-    return [EmbeddingIndex(k, p) for k in range(1, p + 1) if gcd(k, 2 * p) == 1]
+    return [EmbeddingIndex(k, p) for k in embedding_ks(p)]

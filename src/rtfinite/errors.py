@@ -11,3 +11,11 @@ class DivisionByZeroQuantumInteger(ArithmeticError):
     This signals a degenerate color outside the admissible range; it never
     happens for ratios built from admissible data.
     """
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a result the mathematics guarantees did not hold.
+
+    Raised instead of ``assert`` so the check survives ``python -O``; the CLI
+    maps it to exit code 3.
+    """

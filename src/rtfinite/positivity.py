@@ -25,8 +25,8 @@ from .bases import (
     theta_norm_ratio,
 )
 from .context import LevelContext
-from .cyclotomic import EmbeddingIndex, Sign, embeddings
-from .errors import UsageError
+from .cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
+from .errors import InvariantViolation, UsageError
 from .quantum import eval_sign, qint_sign_values
 
 
@@ -54,7 +54,12 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Full sign matrix over (embedding k x ratio id), verdict and witness."""
+    """Verdict, witness and the sign entries evaluated to reach them.
+
+    sign_matrix maps (embedding k, ratio id) to a Sign in scan order
+    (ascending k, then ratio): every entry when there is no witness,
+    otherwise the entries up to and including the witness.
+    """
 
     level: LevelContext
     surface: str
@@ -74,58 +79,80 @@ class FinitenessVerdict:
     notes: tuple[str, ...] = ()
 
 
+def _scan_to_witness(entries) -> tuple[dict, Optional[tuple]]:
+    """Record (key, sign) entries up to and including the first negative
+    one, which is returned as the witness (None if no entry is negative)."""
+    sign_matrix = {}
+    for key, s in entries:
+        sign_matrix[key] = s
+        if s is Sign.NEGATIVE:
+            return sign_matrix, key
+    return sign_matrix, None
+
+
+def _finiteness(report: PositivityReport) -> Finiteness:
+    return Finiteness.FINITE if report.witness is None else Finiteness.INFINITE
+
+
+def _report(level, surface, entries, flags=()) -> PositivityReport:
+    sign_matrix, witness = _scan_to_witness(entries)
+    verdict = (
+        Positivity.COMPLETELY_POSITIVE
+        if witness is None
+        else Positivity.NOT_COMPLETELY_POSITIVE
+    )
+    return PositivityReport(level, surface, sign_matrix, verdict, witness, flags)
+
+
 def check_complete_positivity(
     ratios: Sequence[GramRatio], level: LevelContext, surface: str = ""
 ) -> PositivityReport:
-    """Evaluate every relative-norm ratio at every canonical embedding.
+    """Evaluate relative-norm ratios at the canonical embeddings.
 
-    The first Negative entry in (ascending k, ratio list order) is the
-    witness.  Zero entries are recorded as such; they never occur for
-    admissible data.
+    Entries are scanned in ascending k, then ratio list order; the first
+    Negative entry is the witness and ends the scan.  Zero entries are
+    recorded as such; they never occur for admissible data.
     """
-    sign_matrix = {}
-    witness = None
-    for emb in embeddings(level):
-        for idx, ratio in enumerate(ratios):
-            s = eval_sign(ratio.value, emb)
-            sign_matrix[(emb.k, idx)] = s
-            if s is Sign.NEGATIVE and witness is None:
-                witness = (emb.k, idx)
-    verdict = (
-        Positivity.NOT_COMPLETELY_POSITIVE
-        if witness is not None
-        else Positivity.COMPLETELY_POSITIVE
+    entries = (
+        ((emb.k, idx), eval_sign(ratio.value, emb))
+        for emb in embeddings(level)
+        for idx, ratio in enumerate(ratios)
     )
-    return PositivityReport(level, surface, sign_matrix, verdict, witness)
+    return _report(level, surface, entries)
+
+
+_PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
+
+
+def _torus_signs(level: LevelContext, c: int):
+    """Yield ((k, j), sign of <u_j>/<u_0>) for the lollipop basis at color c,
+    in ascending k, then ascending j >= 1.
+
+    The cumulative ratio telescopes to
+        [2c+j+1]! [j]! [c+1]! [c]! / ([2c+1]! [c+j+1]! [c+j]!),
+    so with N the prefix counts of negative quantum integers at k
+    (qint_sign_values), its sign is the parity of
+        N(2c+j+1) - N(2c+1) + N(j) - N(c+j+1) + N(c+1) - N(c+j) + N(c).
+    Every index is at most r - 1, where no quantum integer vanishes.
+    """
+    r = level.r
+    for k in embedding_ks(level.p):
+        n = qint_sign_values(level.p, k, r - 1)
+        if len(n) < r:
+            raise InvariantViolation(
+                f"[{len(n)}] vanishes at k={k}, p={level.p}, "
+                f"inside the lollipop range 1..{r - 1}"
+            )
+        fixed = n[c + 1] + n[c] - n[2 * c + 1]
+        for j in range(1, r - 1 - 2 * c):
+            odd = (n[2 * c + j + 1] + n[j] - n[c + j + 1] - n[c + j] + fixed) & 1
+            yield (k, j), _PARITY_SIGN[odd]
 
 
 def _torus_sign_scan(level: LevelContext, c: int):
-    """Cumulative relative-norm signs for the lollipop basis at color c.
-
-    Returns (sign_matrix, witness) where entries are keyed by
-    (k, j) with j the index of the ratio <u_j>/<u_0>, j >= 1.  Signs are
-    accumulated stepwise; no quantum integer in range can vanish, so the
-    product of step signs is the cumulative ratio's sign.
-    """
-    dim = level.r - 1 - 2 * c
-    from_int = {-1: Sign.NEGATIVE, 0: Sign.ZERO, 1: Sign.POSITIVE}
-    sign_matrix = {}
-    witness = None
-    for emb in embeddings(level):
-        table = qint_sign_values(level.p, emb.k, level.r - 1)
-        k = emb.k
-        running = 1
-        for i in range(dim - 1):
-            running *= (
-                table[2 * c + i + 2]
-                * table[i + 1]
-                * table[c + i + 2]
-                * table[c + i + 1]
-            )
-            sign_matrix[(k, i + 1)] = from_int[running]
-            if running < 0 and witness is None:
-                witness = (k, i + 1)
-    return sign_matrix, witness
+    """Full sign matrix of <u_j>/<u_0> over (k, j) at color c, and its witness."""
+    sign_matrix = dict(_torus_signs(level, c))
+    return sign_matrix, _scan_to_witness(sign_matrix.items())[1]
 
 
 def theorem_predicate(r: int, c: int) -> Optional[tuple[int, Finiteness]]:
@@ -180,7 +207,8 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
     """Decide finiteness for the one-holed torus with boundary color 2c.
 
     Direct computation: scan the signs of the cumulative relative norms
-    <u_j>/<u_0> over all canonical embeddings.  When p = 2r and a
+    <u_j>/<u_0> over the canonical embeddings, up to the first negative
+    one (the witness).  When p = 2r and a
     theorem clause applies, the clause's prediction is cross-checked.
     The p = r computations are exposed behind the experimental flag; the
     theorem clauses address p = 2r only, so no cross-check applies there.
@@ -205,18 +233,8 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
             Finiteness.FINITE, Provenance.DIRECT_COMPUTATION, report,
             notes=notes + ("vacuous: basis dimension <= 1",),
         )
-    sign_matrix, witness = _torus_sign_scan(level, c)
-    positivity = (
-        Positivity.NOT_COMPLETELY_POSITIVE
-        if witness is not None
-        else Positivity.COMPLETELY_POSITIVE
-    )
-    report = PositivityReport(level, surface, sign_matrix, positivity, witness, notes)
-    verdict = (
-        Finiteness.FINITE
-        if positivity is Positivity.COMPLETELY_POSITIVE
-        else Finiteness.INFINITE
-    )
+    report = _report(level, surface, _torus_signs(level, c), notes)
+    verdict = _finiteness(report)
     clause = None
     crosscheck = Crosscheck.NOT_APPLICABLE
     if p_choice == "2r":
@@ -231,8 +249,15 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
     )
 
 
-def _closed_rule(r: int, g: int) -> Finiteness:
-    return Finiteness.FINITE if g == 1 or r == 3 else Finiteness.INFINITE
+def _closed_verdict(provenance, report, r, g, notes=()) -> FinitenessVerdict:
+    """The verdict of a closed-surface report, cross-checked against the
+    closed-surface theorem: finite exactly when g = 1 or r = 3."""
+    verdict = _finiteness(report)
+    expected = Finiteness.FINITE if g == 1 or r == 3 else Finiteness.INFINITE
+    crosscheck = Crosscheck.AGREE if verdict is expected else Crosscheck.DISAGREE
+    return FinitenessVerdict(
+        verdict, provenance, report, crosscheck=crosscheck, notes=notes
+    )
 
 
 def decide_closed(p: int, g: int) -> FinitenessVerdict:
@@ -252,22 +277,11 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
 
     if g == 1:
         # Closed torus: the c = 0 lollipop ratios all cancel to the unit.
-        steps = [
-            lollipop_ratio_step(level, 0, i) for i in range(r - 2)
-        ]
-        assert all(s.value.is_unit for s in steps)
+        steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
+        if not all(s.value.is_unit for s in steps):
+            raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
         report = check_complete_positivity(steps, level, f"closed torus, p={p}")
-        verdict = (
-            Finiteness.FINITE
-            if report.verdict is Positivity.COMPLETELY_POSITIVE
-            else Finiteness.INFINITE
-        )
-        crosscheck = (
-            Crosscheck.AGREE if verdict is _closed_rule(r, g) else Crosscheck.DISAGREE
-        )
-        return FinitenessVerdict(
-            verdict, Provenance.DIRECT_COMPUTATION, report, crosscheck=crosscheck
-        )
+        return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
 
     if r == 3:
         if p == 3:
@@ -276,23 +290,12 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
                 level, f"closed genus {g}, p=3", {},
                 Positivity.COMPLETELY_POSITIVE, flags=("dimension-one",),
             )
-            verdict = Finiteness.FINITE
         else:
             ratios = [theta_norm_ratio(level, t) for t in admissible_triples(level)]
             report = check_complete_positivity(
                 ratios, level, f"closed genus {g}, p=6 (theta colorings)"
             )
-            verdict = (
-                Finiteness.FINITE
-                if report.verdict is Positivity.COMPLETELY_POSITIVE
-                else Finiteness.INFINITE
-            )
-        crosscheck = (
-            Crosscheck.AGREE if verdict is _closed_rule(r, g) else Crosscheck.DISAGREE
-        )
-        return FinitenessVerdict(
-            verdict, Provenance.CLOSED_SURFACE_RULE, report, crosscheck=crosscheck
-        )
+        return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
     if r == 5:
         triple = AdmissibleTriple(2, 2, 2) if p == 5 else AdmissibleTriple(2, 1, 1)
@@ -300,7 +303,7 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         ratio = theta_norm_ratio(level, triple)
         s = eval_sign(ratio.value, EmbeddingIndex(witness_k, p))
         if s is not Sign.NEGATIVE:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"designated witness {triple.as_tuple()} at k={witness_k} "
                 f"is not negative at p={p}"
             )
@@ -309,42 +312,26 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
             if g == 2
             else "genus-2 theta witness embedded by zero-coloring"
         )
-        report = PositivityReport(
-            level,
-            f"closed genus {g}, p={p}",
-            {(witness_k, triple.as_tuple()): s},
-            Positivity.NOT_COMPLETELY_POSITIVE,
-            witness=(witness_k, triple.as_tuple()),
+        report = _report(
+            level, f"closed genus {g}, p={p}", [((witness_k, triple.as_tuple()), s)]
         )
-        verdict = FinitenessVerdict(
-            Finiteness.INFINITE, Provenance.CLOSED_SURFACE_RULE, report,
-            crosscheck=Crosscheck.AGREE
-            if _closed_rule(r, g) is Finiteness.INFINITE
-            else Crosscheck.DISAGREE,
-            notes=(note, f"ratio {ratio.value} negative at k={witness_k}"),
+        return _closed_verdict(
+            Provenance.CLOSED_SURFACE_RULE, report, r, g,
+            (note, f"ratio {ratio.value} negative at k={witness_k}"),
         )
-        return verdict
 
     # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
     # the one-holed torus at c = 1 already fails complete positivity.
-    sign_matrix, witness = _torus_sign_scan(level, 1)
-    if witness is None:
-        raise AssertionError(
-            f"expected a negative one-holed-torus ratio at c=1 for p={p}"
-        )
-    report = PositivityReport(
+    report = _report(
         level,
         f"closed genus {g}, p={p} (via one-holed torus c=1)",
-        sign_matrix,
-        Positivity.NOT_COMPLETELY_POSITIVE,
-        witness,
+        _torus_signs(level, 1),
     )
-    return FinitenessVerdict(
-        Finiteness.INFINITE,
-        Provenance.CLOSED_SURFACE_RULE,
-        report,
-        crosscheck=Crosscheck.AGREE
-        if _closed_rule(r, g) is Finiteness.INFINITE
-        else Crosscheck.DISAGREE,
-        notes=("handle decomposition onto the c=1 one-holed torus",),
+    if report.witness is None:
+        raise InvariantViolation(
+            f"expected a negative one-holed-torus ratio at c=1 for p={p}"
+        )
+    return _closed_verdict(
+        Provenance.CLOSED_SURFACE_RULE, report, r, g,
+        ("handle decomposition onto the c=1 one-holed torus",),
     )

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .context import LevelContext
 from .cyclotomic import CyclotomicInteger, EmbeddingIndex, Sign, sin_sign
-from .errors import DivisionByZeroQuantumInteger, UsageError
+from .errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,19 @@ class QuantumFactored:
 
     @classmethod
     def from_factors(cls, unit: int, factors) -> "QuantumFactored":
+        """Canonical symbol from (n, e) pairs; exponents of a repeated n add up."""
         if unit == 0:
             return cls(0, ())
-        assert unit in (1, -1)
+        if unit not in (1, -1):
+            raise InvariantViolation(f"symbol unit must be +1, -1 or 0, got {unit}")
         merged: dict[int, int] = {}
-        for n, e in dict(factors).items():
+        for n, e in factors:
             if n == 1 or e == 0:
                 continue
             if n < 1:
                 raise UsageError(f"quantum integer index must be positive, got {n}")
-            merged[n] = e
-        return cls(unit, tuple(sorted(merged.items(), reverse=True)))
+            merged[n] = merged.get(n, 0) + e
+        return cls(unit, tuple(sorted(((n, e) for n, e in merged.items() if e), reverse=True)))
 
     @property
     def is_zero(self) -> bool:
@@ -52,16 +54,15 @@ class QuantumFactored:
     def __mul__(self, other: "QuantumFactored") -> "QuantumFactored":
         if self.is_zero or other.is_zero:
             return QuantumFactored(0, ())
-        merged = dict(self.factors)
-        for n, e in other.factors:
-            merged[n] = merged.get(n, 0) + e
-        return QuantumFactored.from_factors(self.unit * other.unit, merged)
+        return QuantumFactored.from_factors(
+            self.unit * other.unit, self.factors + other.factors
+        )
 
     def inverse(self) -> "QuantumFactored":
         if self.is_zero:
             raise DivisionByZeroQuantumInteger("cannot invert the zero symbol")
         return QuantumFactored.from_factors(
-            self.unit, {n: -e for n, e in self.factors}
+            self.unit, ((n, -e) for n, e in self.factors)
         )
 
     def __truediv__(self, other: "QuantumFactored") -> "QuantumFactored":
@@ -73,7 +74,7 @@ class QuantumFactored:
                 raise DivisionByZeroQuantumInteger("zero symbol to a nonpositive power")
             return self
         return QuantumFactored.from_factors(
-            self.unit if e % 2 else 1, {n: k * e for n, k in self.factors}
+            self.unit if e % 2 else 1, ((n, k * e) for n, k in self.factors)
         )
 
     def __neg__(self) -> "QuantumFactored":
@@ -114,15 +115,20 @@ def qint(n: int) -> QuantumFactored:
         raise UsageError(f"quantum integer index must be nonnegative, got {n}")
     if n == 0:
         return ZERO
-    return QuantumFactored.from_factors(1, {n: 1})
+    return QuantumFactored.from_factors(1, ((n, 1),))
 
 
 @lru_cache(maxsize=None)
 def qfactorial(n: int) -> QuantumFactored:
     """The quantum factorial [n]! = [n][n-1]...[1]."""
-    if n <= 1:
-        return ONE
-    return qfactorial(n - 1) * qint(n)
+    return QuantumFactored(1, tuple((m, 1) for m in range(n, 1, -1)))
+
+
+def qfactorial_ratio(num, den) -> QuantumFactored:
+    """prod [n]! over n in num divided by prod [n]! over n in den."""
+    pairs = [pair for n in num for pair in qfactorial(n).factors]
+    pairs += [(m, -e) for n in den for m, e in qfactorial(n).factors]
+    return QuantumFactored.from_factors(1, pairs)
 
 
 def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
@@ -135,18 +141,24 @@ def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
 
 
 @lru_cache(maxsize=None)
-def qint_sign_table(p: int, k: int, n_max: int) -> tuple[Sign, ...]:
-    """Signs of [0], [1], ..., [n_max] at embedding k of level p."""
-    sk = sin_sign(k, p)
-    return tuple(
-        Sign.ZERO if n == 0 else sin_sign(n * k, p) * sk for n in range(n_max + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def qint_sign_values(p: int, k: int, n_max: int) -> tuple[int, ...]:
-    """Same as qint_sign_table but as raw -1/0/+1 ints, for tight scan loops."""
-    return tuple(s.value for s in qint_sign_table(p, k, n_max))
+    """Prefix counts N(n) = #{1 <= m <= n : [m] < 0 at k}, for 0 <= n <= n_max.
+
+    A ratio of quantum factorials has the sign (-1)^(signed sum of N at its
+    indices) when no [m] in range vanishes, so the table stops before the
+    first [m] that vanishes at k: it is shorter than n_max + 1 exactly then.
+    """
+    # [m] < 0 when sin(2 pi m k / p) and sin(2 pi k / p) differ in sign;
+    # sin(2 pi x / p) < 0 when p/2 < x mod p < p.
+    k_negative = 2 * (k % p) > p
+    counts = [0]
+    x = 0
+    for _ in range(n_max):
+        x = (x + k) % p
+        if x == 0 or 2 * x == p:
+            break
+        counts.append(counts[-1] + ((2 * x > p) != k_negative))
+    return tuple(counts)
 
 
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
@@ -175,7 +187,7 @@ def bracket_color(n: int) -> QuantumFactored:
     """The loop value <n> = (-1)^n [n+1] of a circle colored n."""
     if n < 0:
         raise UsageError(f"color must be nonnegative, got {n}")
-    return QuantumFactored.from_factors(-1 if n % 2 else 1, {n + 1: 1})
+    return QuantumFactored.from_factors(-1 if n % 2 else 1, ((n + 1, 1),))
 
 
 def theta_symbol(a: int, b: int, c: int) -> QuantumFactored:
@@ -190,9 +202,7 @@ def theta_symbol(a: int, b: int, c: int) -> QuantumFactored:
     x = (b + c - a) // 2
     y = (a + c - b) // 2
     z = (a + b - c) // 2
-    num = qfactorial(x + y + z + 1) * qfactorial(x) * qfactorial(y) * qfactorial(z)
-    den = qfactorial(y + z) * qfactorial(x + z) * qfactorial(x + y)
-    result = num / den
+    result = qfactorial_ratio((x + y + z + 1, x, y, z), (y + z, x + z, x + y))
     return -result if (x + y + z) % 2 else result
 
 

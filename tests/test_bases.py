@@ -128,6 +128,15 @@ class TestLollipopRatios:
         )
         assert lollipop_ratio_cumulative(level, 1, 2).value == product
 
+    @pytest.mark.parametrize("r", list(primerange(3, 40)))
+    def test_cumulative_closed_form_is_the_step_product(self, r):
+        for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+            for c in range((r - 2) // 2 + 1):
+                product = ONE
+                for j in range(1, r - 1 - 2 * c):
+                    product = product * lollipop_ratio_step(level, c, j - 1).value
+                    assert lollipop_ratio_cumulative(level, c, j).value == product
+
 
 class TestAdmissibleTriples:
     def test_p6(self):

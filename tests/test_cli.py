@@ -5,13 +5,16 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from rtfinite import positivity
 from rtfinite.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
     ReportRecord,
     main,
+    scan_workers,
 )
+from rtfinite.errors import UsageError
 
 
 def run(argv):
@@ -126,6 +129,40 @@ class TestScanCommand:
     def test_rmax_too_small(self):
         code, _ = run(["scan", "--r-max", "3"])
         assert code == EXIT_USAGE
+
+
+class TestScanWorkers:
+    # pure function: no pool is started here
+    @pytest.mark.parametrize(
+        "jobs,cpus,tasks,expected",
+        [(1, 8, 30, 1), (4, 2, 30, 2), (100000, 2, 30, 2), (8, 64, 3, 3),
+         (3, None, 30, 1), (2, 2, 1, 1)],
+    )
+    def test_clamp(self, jobs, cpus, tasks, expected):
+        assert scan_workers(jobs, cpus, tasks) == expected
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(UsageError):
+            scan_workers(jobs, 2, 10)
+
+    def test_below_one_exits_with_usage(self, capsys):
+        code, out = run(["scan", "--r-max", "7", "--jobs", "0"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestInvariantViolation:
+    def test_exit_code_and_one_line_message(self, monkeypatch, capsys):
+        # a sign table that stops early reports a vanishing quantum integer
+        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: (0, 0))
+        code, out = run(["decide-torus", "--r", "7", "--c", "1"])
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: ")
+        assert err.count("\n") == 1
 
 
 class TestVerifyTheoremCommand:

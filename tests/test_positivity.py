@@ -2,9 +2,10 @@ import pytest
 from sympy import primerange
 
 from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
+from rtfinite import positivity
 from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
-from rtfinite.errors import UsageError
+from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.positivity import (
     Crosscheck,
     Finiteness,
@@ -123,6 +124,87 @@ class TestDecideTorus:
                 step = eval_sign(lollipop_ratio_step(level, 1, j - 1).value, emb)
                 running = running * step
                 assert sign_matrix[(emb.k, j)] is running
+
+
+def _first_negative(sign_matrix):
+    return next((key for key, s in sign_matrix.items() if s is Sign.NEGATIVE), None)
+
+
+class TestSignEngine:
+    @pytest.mark.parametrize("r", list(primerange(3, 40)))
+    def test_full_matrix_matches_symbolic_signs(self, r):
+        # prefix parity over quantum factorials vs the cumulative symbol,
+        # at p = 2r and at the experimental p = r
+        for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+            embs = embeddings(level)
+            for c in range((r - 2) // 2 + 1):
+                sign_matrix, _ = _torus_sign_scan(level, c)
+                assert len(sign_matrix) == len(embs) * (r - 2 - 2 * c)
+                assert list(sign_matrix) == sorted(sign_matrix)
+                for j in range(1, r - 1 - 2 * c):
+                    value = lollipop_ratio_cumulative(level, c, j).value
+                    for emb in embs:
+                        assert sign_matrix[(emb.k, j)] is eval_sign(value, emb), (
+                            level.p, c, j, emb.k)
+
+    @pytest.mark.parametrize("r", list(primerange(3, 90)))
+    def test_early_exit_stops_at_first_negative_of_full_matrix(self, r):
+        for p_choice in ("2r", "r"):
+            for c in range((r - 2) // 2 + 1):
+                report = decide_torus(r, c, p_choice, experimental=True).report
+                full, witness = _torus_sign_scan(report.level, c)
+                assert report.witness == witness == _first_negative(full)
+                entries = list(full.items())
+                if witness is not None:
+                    entries = entries[: list(full).index(witness) + 1]
+                assert list(report.sign_matrix.items()) == entries
+
+
+class TestReportEntries:
+    # acceptance 1 inspects sign_matrix values; an empty matrix would pass it
+    @pytest.mark.parametrize("r", [5, 7, 11, 13, 97, 199])
+    def test_completely_positive_report_holds_every_entry(self, r):
+        for c in (0, (r - 3) // 2):
+            verdict = decide_torus(r, c)
+            report = verdict.report
+            assert report.verdict is Positivity.COMPLETELY_POSITIVE
+            dim = r - 1 - 2 * c
+            assert len(report.sign_matrix) == len(embeddings(report.level)) * (dim - 1)
+            assert all(s is Sign.POSITIVE for s in report.sign_matrix.values())
+
+    @pytest.mark.parametrize("r,c", [(7, 1), (13, 2), (97, 1), (97, 5), (199, 30)])
+    def test_witness_report_ends_at_the_witness(self, r, c):
+        report = decide_torus(r, c).report
+        keys = list(report.sign_matrix)
+        assert keys[-1] == report.witness
+        assert _first_negative(report.sign_matrix) == report.witness
+
+    @pytest.mark.parametrize("p", [14, 7, 22])
+    def test_closed_handle_report_ends_at_the_witness(self, p):
+        report = decide_closed(p, 3).report
+        assert list(report.sign_matrix)[-1] == report.witness
+        assert _first_negative(report.sign_matrix) == report.witness
+
+
+class TestInvariants:
+    def test_vanishing_factor_in_range(self, monkeypatch):
+        # a table that stops early says some [m] <= r - 1 vanishes
+        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: (0, 0))
+        with pytest.raises(InvariantViolation):
+            decide_torus(7, 1)
+
+    def test_handle_decomposition_without_witness(self, monkeypatch):
+        monkeypatch.setattr(
+            positivity, "qint_sign_values", lambda p, k, n_max: (0,) * (n_max + 1)
+        )
+        assert decide_torus(7, 1).verdict is Finiteness.FINITE
+        with pytest.raises(InvariantViolation):
+            decide_closed(14, 2)
+
+    def test_designated_theta_witness_not_negative(self, monkeypatch):
+        monkeypatch.setattr(positivity, "eval_sign", lambda value, emb: Sign.POSITIVE)
+        with pytest.raises(InvariantViolation):
+            decide_closed(5, 2)
 
 
 class TestTheoremPredicate:

@@ -16,6 +16,7 @@ from rtfinite.quantum import (
     qfactorial,
     qint,
     qint_sign,
+    qint_sign_values,
     theta_symbol,
     twist_eigenvalue,
 )
@@ -55,6 +56,10 @@ class TestQuantumFactored:
     def test_zero_inverse(self):
         with pytest.raises(DivisionByZeroQuantumInteger):
             qint(0).inverse()
+
+    def test_from_factors_adds_repeated_exponents(self):
+        assert QuantumFactored.from_factors(1, [(3, 1), (3, 1)]) == qint(3) * qint(3)
+        assert QuantumFactored.from_factors(-1, [(5, 2), (4, 1), (5, -2)]) == -qint(4)
 
 
 class TestQintSign:
@@ -98,6 +103,24 @@ class TestQintSign:
                     if abs(value) > 1e-9:
                         expected = Sign.POSITIVE if value > 0 else Sign.NEGATIVE
                         assert qint_sign(m, emb) is expected
+
+
+class TestQintSignValues:
+    @pytest.mark.parametrize("p", [5, 6, 7, 10, 14, 22, 26, 37, 74])
+    def test_prefix_counts_of_negative_quantum_integers(self, p):
+        r = p if p % 2 else p // 2
+        for emb in embeddings(p):
+            table = qint_sign_values(p, emb.k, r - 1)
+            assert len(table) == r
+            negatives = [qint_sign(m, emb) is Sign.NEGATIVE for m in range(1, r)]
+            assert list(table) == [sum(negatives[:n]) for n in range(r)]
+
+    @pytest.mark.parametrize("p", [6, 10, 14, 22])
+    def test_stops_before_the_first_vanishing_factor(self, p):
+        # [r] vanishes at every embedding of p = 2r
+        r = p // 2
+        for emb in embeddings(p):
+            assert qint_sign_values(p, emb.k, p) == qint_sign_values(p, emb.k, r - 1)
 
 
 class TestEvalSign:
