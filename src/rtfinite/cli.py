@@ -3,7 +3,8 @@ reproduction, and machine-readable reports.
 
 Exit codes: 0 = completed, 2 = usage error, 3 = internal invariant
 violation (a cross-check disagreement in verify-theorem, or an
-InvariantViolation raised by the library).
+InvariantViolation raised by the library), 4 = i/o error (an OSError,
+such as an --out path that cannot be written).
 """
 
 import argparse
@@ -17,10 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
-from sympy import primerange
-
 from .bases import lollipop_ratio_cumulative
-from .context import LevelContext
+from .context import LevelContext, primerange
 from .errors import InvariantViolation, UsageError
 from .lattice import discreteness_certificate
 from .positivity import (
@@ -34,6 +33,7 @@ from .positivity import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
+EXIT_IO = 4
 
 
 @dataclass(frozen=True)
@@ -235,16 +235,14 @@ def _cmd_verify_theorem(args) -> int:
                 if s is not Sign.NEGATIVE:
                     witness_misses.append((clause, r, c, k))
             elif clause == 4:
-                negatives = [
-                    i
-                    for i in range(r - 3 - 2 * c + 1)
-                    if eval_sign(
+                if not any(
+                    eval_sign(
                         lollipop_ratio_step(level, c, i).value,
                         EmbeddingIndex(3, 2 * r),
                     )
                     is Sign.NEGATIVE
-                ]
-                if not negatives:
+                    for i in range(r - 3 - 2 * c + 1)
+                ):
                     witness_misses.append((clause, r, c, 3))
     for clause in sorted(per_clause):
         total, ok = per_clause[clause]
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

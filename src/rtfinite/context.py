@@ -1,4 +1,4 @@
-"""Level bookkeeping.
+"""Level bookkeeping and the elementary number theory it rests on.
 
 A *level* is an integer p with p = r or p = 2r for an odd prime r.  The
 LevelContext bundles p, r, the auxiliary order alpha_p used by the lattice
@@ -6,10 +6,82 @@ machinery, and the set of valid edge colors at that level.
 """
 
 from dataclasses import dataclass
-
-from sympy import isprime, totient
+from functools import lru_cache
 
 from .errors import UsageError
+
+# Miller-Rabin with the first 13 prime bases is exact for n < 3.3 * 10^24
+# (Sorenson and Webster, Math. Comp. 86 (2017)); above that it is a strong
+# probable-prime test.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test; exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primerange(a: int, b: int):
+    """The primes q with a <= q < b, ascending, generated lazily."""
+    return (n for n in range(max(a, 2), b) if isprime(n))
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n, e = n // q, e + 1
+            factors.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+@lru_cache(maxsize=None)
+def totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1."""
+    for q, _ in _factorize(n):
+        n -= n // q
+    return n
+
+
+def mobius(n: int) -> int:
+    """The Moebius function mu(n) for n >= 1."""
+    factors = _factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for q, e in _factorize(n):
+        divs = [d * q**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def level_prime(p: int) -> int:
@@ -37,7 +109,7 @@ class LevelContext:
     r: int
     alpha_p: int
     phi_alpha: int
-    colors: tuple[int, ...]
+    colors: range
     # kappa is never used in arithmetic: the verdict is invariant under the
     # global sign flip that changing kappa can cause.  We only record the
     # exponent in the defining relation kappa^6 = A^kappa_exponent.
@@ -47,15 +119,17 @@ class LevelContext:
     def at(cls, p: int) -> "LevelContext":
         r = level_prime(p)
         if p == 2 * r:
-            colors = tuple(range(r - 1))
+            colors = range(r - 1)
         else:
-            colors = tuple(range(0, p - 2, 2))
+            colors = range(0, p - 2, 2)
         a = alpha(p)
         return cls(
             p=p,
             r=r,
             alpha_p=a,
-            phi_alpha=int(totient(a)),
+            # phi(r) = r - 1 and phi(4r) = 2(r - 1), read off the level
+            # instead of factoring alpha_p
+            phi_alpha=r - 1 if a == r else 2 * (r - 1),
             colors=colors,
             kappa_exponent=-6 - p * (p + 1) // 2,
         )

@@ -2,7 +2,8 @@
 
 A value is a canonically reduced integer coefficient vector of length
 phi(N); equality of values is equality of vectors.  Coefficients are
-Python integers, so no overflow handling is needed.  The module also
+Python integers, so no overflow handling is needed.  The field trace
+reads a cached per-order table of Ramanujan sums.  The module also
 provides the Galois embedding bookkeeping (EmbeddingIndex) and the pure
 integer sign function sin_sign that underlies every exact sign
 evaluation in the package.
@@ -13,11 +14,10 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, pi
+from operator import mul
 
-from sympy import divisors, mobius, totient
-
-from .context import LevelContext
-from .errors import UsageError
+from .context import LevelContext, divisors, mobius, totient
+from .errors import InvariantViolation, UsageError
 
 
 class Sign(enum.Enum):
@@ -46,7 +46,8 @@ def sin_sign(m: int, p: int) -> Sign:
 
 def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials; den must be monic."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InvariantViolation(f"divisor polynomial {den} is not monic")
     num = list(num)
     deg_d = len(den) - 1
     quot = [0] * max(1, len(num) - deg_d)
@@ -75,8 +76,18 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if d == n:
             continue
         poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        assert rem == [0]
+        if rem != [0]:
+            raise InvariantViolation(f"phi_{d} does not divide X^{n} - 1 cleanly")
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def trace_table(order: int) -> tuple[int, ...]:
+    """Tr(A^m) for m = 0 .. order-1: the Ramanujan sum mu(N/g) * phi(N)/phi(N/g)
+    with N = order and g = gcd(m, N)."""
+    phi = totient(order)
+    by_cofactor = {d: mobius(d) * (phi // totient(d)) for d in divisors(order)}
+    return tuple(by_cofactor[order // gcd(m, order)] for m in range(order))
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,11 @@ class CyclotomicInteger:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == int(totient(self.order))
+        if len(self.coeffs) != totient(self.order):
+            raise InvariantViolation(
+                f"{len(self.coeffs)} coefficients for order {self.order}, "
+                f"expected phi({self.order}) = {totient(self.order)}"
+            )
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicInteger":
@@ -147,17 +162,10 @@ class CyclotomicInteger:
     def trace(self) -> int:
         """Field trace down to the rationals: sum of all Galois conjugates.
 
-        Uses trace(A^m) = mobius(N/g) * phi(N)/phi(N/g) with g = gcd(m, N),
-        applied termwise to the canonical representative.
+        Applies the cached table trace(A^m) (trace_table) termwise to the
+        canonical representative.
         """
-        n = self.order
-        total = 0
-        for j, c in enumerate(self.coeffs):
-            if c:
-                g = gcd(j, n)
-                d = n // g
-                total += c * int(mobius(d)) * (int(totient(n)) // int(totient(d)))
-        return total
+        return sum(map(mul, self.coeffs, trace_table(self.order)))
 
     def evaluate(self, z: complex) -> complex:
         """Numeric value at a chosen root A = z (float oracle support)."""
@@ -173,7 +181,7 @@ def reduce(raw_coeffs, order: int) -> CyclotomicInteger:
         raise UsageError(f"order must be >= 3, got {order}")
     phi_poly = cyclotomic_polynomial(order)
     _, rem = _poly_divmod(list(raw_coeffs) or [0], phi_poly)
-    deg = int(totient(order))
+    deg = totient(order)
     rem = rem + [0] * (deg - len(rem))
     return CyclotomicInteger(order, tuple(rem[:deg]))
 

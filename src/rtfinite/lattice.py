@@ -2,8 +2,9 @@
 
 The embedding into the product of Galois conjugates has a discrete
 image because the averaged square norm of any element is an integer
-divided by phi(alpha_p).  The exact trace computation is the ground
-truth for that norm; the literal closed form displayed alongside the
+divided by phi(alpha_p).  The exact trace Tr(P * conjugate(P)), taken as
+the integer quadratic form sum c_i c_j Tr(A^(i-j)) over the canonical
+coefficients, is the ground truth for that norm; the literal closed form displayed alongside the
 integrality statement (sum of squared coefficients, with a correction at
 p = 2r) is
 computed separately purely so the two can be compared.
@@ -12,9 +13,10 @@ computed separately purely so the two can be compared.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .context import LevelContext, alpha  # noqa: F401  (alpha re-exported)
-from .cyclotomic import CyclotomicInteger, reduce
+from .cyclotomic import CyclotomicInteger, reduce, trace_table
 from .errors import UsageError
 
 
@@ -27,13 +29,25 @@ def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> Fraction:
     """Exact averaged square norm over all conjugate embeddings.
 
     Equals trace(P * conjugate(P)) / phi(alpha_p); the numerator is a
-    nonnegative rational integer, zero only for P = 0.
+    nonnegative rational integer, zero only for P = 0.  The trace is linear,
+    so the numerator is the quadratic form sum c_i c_j Tr(A^(i-j)) of the
+    canonical coefficients over the cached trace table; no ring arithmetic
+    is done.  Since Tr(A^-d) = Tr(A^d), the terms are grouped by d = |i - j|:
+    the autocorrelation sum_i c_i c_(i+d) meets Tr(A^d) once for d = 0 and
+    twice for d > 0, and the d with Tr(A^d) = 0 are skipped.
     """
     if element.order != level.alpha_p:
         raise UsageError(
             f"element has order {element.order}, expected alpha_p = {level.alpha_p}"
         )
-    return Fraction((element * element.conjugate()).trace(), level.phi_alpha)
+    coeffs = element.coeffs
+    table = trace_table(element.order)
+    shifted = sum(
+        t * sum(map(mul, coeffs, coeffs[d:]))
+        for d, t in enumerate(table[1:len(coeffs)], 1)
+        if t
+    )
+    return Fraction(table[0] * sum(map(mul, coeffs, coeffs)) + 2 * shifted, level.phi_alpha)
 
 
 def naive_norm_formula(element: CyclotomicInteger, level: LevelContext) -> Fraction:

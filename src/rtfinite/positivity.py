@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from sympy import isprime
-
 from .bases import (
     AdmissibleTriple,
     GramRatio,
@@ -24,7 +22,7 @@ from .bases import (
     lollipop_ratio_step,
     theta_norm_ratio,
 )
-from .context import LevelContext
+from .context import LevelContext, isprime
 from .cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from .errors import InvariantViolation, UsageError
 from .quantum import eval_sign, qint_sign_values

@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import rtfinite
 from rtfinite import positivity
 from rtfinite.cli import (
     EXIT_INVARIANT,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     ReportRecord,
@@ -190,3 +196,24 @@ class TestLatticeCheckCommand:
 
 def test_invariant_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_USAGE, EXIT_INVARIANT} == {0, 2, 3}
+
+
+class TestIOError:
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        code, out = run(["decide-torus", "--r", "7", "--c", "1", "--out", str(target)])
+        assert code == EXIT_IO == 4
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ")
+        assert not target.exists()
+
+
+def test_cli_import_leaves_sympy_out():
+    src = str(Path(rtfinite.__file__).resolve().parents[1])
+    code = "import sys, rtfinite.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "False\n"

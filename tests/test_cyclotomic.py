@@ -1,22 +1,31 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from math import gcd, pi
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rtfinite
+from rtfinite import cyclotomic
 from rtfinite.cyclotomic import (
     CyclotomicInteger,
     EmbeddingIndex,
     Sign,
+    _poly_divmod,
     cyclotomic_polynomial,
     embeddings,
     reduce,
     sin_sign,
+    trace_table,
 )
 from rtfinite.context import LevelContext
-from rtfinite.errors import UsageError
+from rtfinite.errors import InvariantViolation, UsageError
 
 ORDERS = [10, 14, 20, 28]
 
@@ -150,6 +159,60 @@ class TestTrace:
         )
         assert abs(numeric.imag) < 1e-7
         assert abs(numeric.real - x.trace()) < 1e-6 * max(1, abs(x.trace()))
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("order", [3, 4, 7, 10, 12, 20, 28, 36, 43, 52, 172])
+    def test_ramanujan_sum(self, order):
+        # Tr(A^m) = mu(N/g) * phi(N)/phi(N/g), g = gcd(m, N), from the sympy oracle
+        phi = int(sympy.totient(order))
+        expected = []
+        for m in range(order):
+            d = order // gcd(m, order)
+            expected.append(int(sympy.mobius(d)) * phi // int(sympy.totient(d)))
+        assert list(trace_table(order)) == expected
+        # trace() of a canonical monomial A^j, j < phi(N), is the table entry
+        for j in range(phi):
+            assert CyclotomicInteger.monomial(order, j).trace() == expected[j]
+
+
+class TestInvariants:
+    def test_non_monic_divisor(self):
+        with pytest.raises(InvariantViolation):
+            _poly_divmod([1, 0, 1], (1, 2))
+
+    def test_cyclotomic_remainder(self, monkeypatch):
+        # 4 does not divide 6, so phi_4 leaves a remainder in X^6 - 1
+        monkeypatch.setattr(
+            cyclotomic, "divisors", lambda n: [1, 4, 6] if n == 6 else sympy.divisors(n)
+        )
+        cyclotomic_polynomial.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation):
+                cyclotomic_polynomial(6)
+        finally:
+            cyclotomic_polynomial.cache_clear()
+
+    def test_length_check(self):
+        with pytest.raises(InvariantViolation):
+            CyclotomicInteger(10, (1, 2, 3))
+
+    def test_length_check_survives_optimize_flag(self):
+        src = str(Path(rtfinite.__file__).resolve().parents[1])
+        code = (
+            "from rtfinite.cyclotomic import CyclotomicInteger\n"
+            "from rtfinite.errors import InvariantViolation\n"
+            "try:\n"
+            "    CyclotomicInteger(10, (1, 2, 3))\n"
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "raised\n"
 
 
 class TestEmbeddings:

@@ -88,6 +88,21 @@ class TestPsiNormSq:
         assert psi_norm_sq(a * element, level) == norm
 
 
+    # every level of the benchmark's lattice workload: alpha_p = p and 4r,
+    # phi(alpha_p) from 6 to 84
+    @pytest.mark.parametrize("p", [7, 13, 19, 26, 31, 43, 47, 58, 74, 83, 86])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_quadratic_form_matches_ring_path(self, p, data):
+        level = LevelContext.at(p)
+        coeffs = data.draw(
+            st.lists(st.integers(-10, 10), min_size=1, max_size=level.phi_alpha + 4)
+        )
+        element = lattice_element(level, coeffs)
+        ring = Fraction((element * element.conjugate()).trace(), level.phi_alpha)
+        assert psi_norm_sq(element, level) == ring
+
+
 class TestNaiveNormFormula:
     def test_monomial(self):
         level = LevelContext.at(14)
