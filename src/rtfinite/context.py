@@ -45,15 +45,21 @@ def primerange(a: int, b: int):
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending."""
+    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending.
+
+    Trial division stops as soon as the cofactor is prime, so n = 4r with a
+    large prime r (an alpha_p) costs two divisions and one primality test.
+    """
     factors = []
     q = 2
-    while q * q <= n:
+    prime_cofactor = isprime(n)
+    while q * q <= n and not prime_cofactor:
         if n % q == 0:
             e = 0
             while n % q == 0:
                 n, e = n // q, e + 1
             factors.append((q, e))
+            prime_cofactor = isprime(n)
         q += 1 if q == 2 else 2
     if n > 1:
         factors.append((n, 1))
@@ -127,9 +133,7 @@ class LevelContext:
             p=p,
             r=r,
             alpha_p=a,
-            # phi(r) = r - 1 and phi(4r) = 2(r - 1), read off the level
-            # instead of factoring alpha_p
-            phi_alpha=r - 1 if a == r else 2 * (r - 1),
+            phi_alpha=totient(a),
             colors=colors,
             kappa_exponent=-6 - p * (p + 1) // 2,
         )

@@ -39,6 +39,15 @@ class TestAgainstSympy:
     def test_primerange(self, a, b):
         assert list(primerange(a, b)) == list(sympy.primerange(a, b))
 
+    @pytest.mark.parametrize(
+        "n", [2**61 - 1, 4 * (2**61 - 1), 12 * (2**61 - 1), 9 * 7919 * (2**31 - 1)]
+    )
+    def test_large_prime_cofactor(self, n):
+        # trial division stops at the prime cofactor
+        assert totient(n) == int(sympy.totient(n))
+        assert mobius(n) == int(sympy.mobius(n))
+        assert divisors(n) == sympy.divisors(n)
+
     def test_isprime_exhaustive_below_bound(self):
         assert [n for n in range(-5, 10**4 + 1) if isprime(n)] == list(
             sympy.primerange(0, 10**4 + 1)
@@ -79,6 +88,8 @@ class TestLevelContext:
         assert level.phi_alpha == 2 * (r - 1)
         assert len(level.colors) == r - 1
         assert r - 2 in level.colors and r - 1 not in level.colors
+        # p = r = 3 (mod 4): alpha_p = r itself, so totient meets a large prime
+        assert LevelContext.at(r).phi_alpha == r - 1
 
     @pytest.mark.parametrize("p", [2**61 - 1 + 2, 2 * (2**61 + 1), 2 * 561])
     def test_huge_non_level_rejected(self, p):
