@@ -14,12 +14,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .bases import lollipop_ratio_cumulative
-from .context import LevelContext, primerange
+from .context import LevelContext, level_prime, primerange
 from .errors import InvariantViolation, UsageError
 from .lattice import discreteness_certificate
 from .positivity import (
@@ -34,6 +33,22 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
+
+# Largest sizes a command line may ask for, so that one call runs for seconds,
+# not hours.  The slowest admitted call of each kind, on a 2-core machine:
+# decide-closed --p 3998 --g 1 about 6 s and 530 MB, verify-theorem --r-max 499
+# about 7 s, lattice-check --p 254 --samples 10000 about 14 s (README,
+# "Limits").  The library itself takes any size.
+MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p
+MAX_SWEEP_R = 500  # scan and verify-theorem --r-max
+MAX_LATTICE_PHI = 256  # phi(alpha_p) of lattice-check --p
+MAX_SAMPLES = 10_000  # lattice-check --samples
+
+
+def check_limit(name: str, value: int, limit: int):
+    """Reject a command-line size above its limit, before any work starts."""
+    if value > limit:
+        raise UsageError(f"{name} = {value} is above the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,7 @@ class ReportRecord:
         return cls(**d)
 
 
-def _witness_dict(verdict: FinitenessVerdict, level=None, c=None) -> Optional[dict]:
+def _witness_dict(verdict: FinitenessVerdict) -> Optional[dict]:
     report = verdict.report
     if report is None or report.witness is None:
         return None
@@ -65,8 +80,8 @@ def _witness_dict(verdict: FinitenessVerdict, level=None, c=None) -> Optional[di
         from .bases import AdmissibleTriple, theta_norm_ratio
 
         text = str(theta_norm_ratio(report.level, AdmissibleTriple(*ratio_id)).value)
-    elif level is not None and c is not None:
-        text = str(lollipop_ratio_cumulative(level, c, ratio_id).value)
+    elif report.torus_c is not None:
+        text = str(lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id).value)
     return {"k": k, "ratio_index": ratio_id if isinstance(ratio_id, int) else list(ratio_id),
             "ratio_text": text}
 
@@ -79,7 +94,7 @@ def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRe
         parameters={"command": "decide-torus", "r": r, "c": c, "p": level.p},
         verdict=verdict.verdict.value,
         provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict, level, c),
+        witness=_witness_dict(verdict),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=r - 1 - 2 * c,
@@ -90,15 +105,11 @@ def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRe
 def _closed_record(p: int, g: int) -> ReportRecord:
     start = time.perf_counter()
     verdict = decide_closed(p, g)
-    # integer witness indices in a closed verdict come from the c=1
-    # one-holed-torus scan of the handle decomposition
-    report = verdict.report
-    torus_c = 1 if report and isinstance((report.witness or (0, 0))[1], int) else None
     return ReportRecord(
         parameters={"command": "decide-closed", "p": p, "g": g},
         verdict=verdict.verdict.value,
         provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict, report.level if report else None, torus_c),
+        witness=_witness_dict(verdict),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=None,
@@ -157,12 +168,14 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_decide_torus(args) -> int:
+    check_limit("r", args.r, MAX_LEVEL_R)
     rec = _torus_record(args.r, args.c, args.p_choice, args.experimental_odd_p)
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_decide_closed(args) -> int:
+    check_limit("r", level_prime(args.p), MAX_LEVEL_R)
     rec = _closed_record(args.p, args.g)
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
@@ -178,9 +191,14 @@ def scan_workers(jobs: int, cpu_count: Optional[int], tasks: int) -> int:
 def _cmd_scan(args) -> int:
     if args.r_max < 5:
         raise UsageError("scan needs --r-max >= 5")
+    check_limit("--r-max", args.r_max, MAX_SWEEP_R)
     primes = list(primerange(5, args.r_max + 1))
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
     if jobs > 1:
+        # imported here: the pool machinery is most of the import time of a
+        # single-process call
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_scan_prime, primes))
     else:
@@ -200,6 +218,7 @@ CLOSED_TABLE_LEVELS = (3, 5, 6, 7, 10, 14)
 def _cmd_verify_theorem(args) -> int:
     if args.r_max < 5:
         raise UsageError("verify-theorem needs --r-max >= 5")
+    check_limit("--r-max", args.r_max, MAX_SWEEP_R)
     lines = []
     disagreements = 0
     from .positivity import clause_witness_k, theorem_predicate
@@ -272,6 +291,8 @@ def _cmd_verify_theorem(args) -> int:
 
 def _cmd_lattice_check(args) -> int:
     level = LevelContext.at(args.p)
+    check_limit("phi(alpha_p)", level.phi_alpha, MAX_LATTICE_PHI)
+    check_limit("--samples", args.samples, MAX_SAMPLES)
     report = discreteness_certificate(level, args.samples, args.seed)
     lines = [
         f"p={report.level_p} alpha_p={level.alpha_p} phi(alpha_p)={level.phi_alpha} "

@@ -123,21 +123,27 @@ class LevelContext:
 
     @classmethod
     def at(cls, p: int) -> "LevelContext":
-        r = level_prime(p)
-        if p == 2 * r:
-            colors = range(r - 1)
-        else:
-            colors = range(0, p - 2, 2)
-        a = alpha(p)
-        return cls(
-            p=p,
-            r=r,
-            alpha_p=a,
-            phi_alpha=totient(a),
-            colors=colors,
-            kappa_exponent=-6 - p * (p + 1) // 2,
-        )
+        return _level_context(cls, p)
 
     @property
     def is_even_level(self) -> bool:
         return self.p == 2 * self.r
+
+
+@lru_cache(maxsize=None)
+def _level_context(cls, p: int) -> LevelContext:
+    """LevelContext.at, cached: every decision at a level shares one context."""
+    r = level_prime(p)
+    if p == 2 * r:
+        colors = range(r - 1)
+    else:
+        colors = range(0, p - 2, 2)
+    a = alpha(p)
+    return cls(
+        p=p,
+        r=r,
+        alpha_p=a,
+        phi_alpha=totient(a),
+        colors=colors,
+        kappa_exponent=-6 - p * (p + 1) // 2,
+    )

@@ -11,14 +11,15 @@ clauses of the one-holed-torus theorem.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .bases import (
     AdmissibleTriple,
     GramRatio,
+    _check_lollipop_color,
     admissible_triples,
-    lollipop_basis,
     lollipop_ratio_step,
     theta_norm_ratio,
 )
@@ -52,19 +53,29 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Verdict, witness and the sign entries evaluated to reach them.
+    """Verdict, witness and the sign entries that lead to them.
 
     sign_matrix maps (embedding k, ratio id) to a Sign in scan order
     (ascending k, then ratio): every entry when there is no witness,
-    otherwise the entries up to and including the witness.
+    otherwise the entries up to and including the witness.  A report of
+    the one-holed-torus scan at color torus_c finds its witness without
+    evaluating entries one by one, and builds sign_matrix from the sign
+    engine on first access; any other report holds it in entries.
     """
 
     level: LevelContext
     surface: str
-    sign_matrix: dict
+    entries: dict
     verdict: Positivity
     witness: Optional[tuple] = None
     flags: tuple[str, ...] = ()
+    torus_c: Optional[int] = None
+
+    @cached_property
+    def sign_matrix(self) -> dict:
+        if self.torus_c is None:
+            return self.entries
+        return _scan_to_witness(_torus_signs(self.level, self.torus_c))[0]
 
 
 @dataclass(frozen=True)
@@ -92,14 +103,24 @@ def _finiteness(report: PositivityReport) -> Finiteness:
     return Finiteness.FINITE if report.witness is None else Finiteness.INFINITE
 
 
+def _positivity(witness) -> Positivity:
+    if witness is None:
+        return Positivity.COMPLETELY_POSITIVE
+    return Positivity.NOT_COMPLETELY_POSITIVE
+
+
 def _report(level, surface, entries, flags=()) -> PositivityReport:
     sign_matrix, witness = _scan_to_witness(entries)
-    verdict = (
-        Positivity.COMPLETELY_POSITIVE
-        if witness is None
-        else Positivity.NOT_COMPLETELY_POSITIVE
+    return PositivityReport(
+        level, surface, sign_matrix, _positivity(witness), witness, flags
     )
-    return PositivityReport(level, surface, sign_matrix, verdict, witness, flags)
+
+
+def _torus_report(level, surface, c, flags=()) -> PositivityReport:
+    witness = _torus_witness(level, c)
+    return PositivityReport(
+        level, surface, {}, _positivity(witness), witness, flags, torus_c=c
+    )
 
 
 def check_complete_positivity(
@@ -120,20 +141,37 @@ def check_complete_positivity(
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _torus_signs(level: LevelContext, c: int):
-    """Yield ((k, j), sign of <u_j>/<u_0>) for the lollipop basis at color c,
-    in ascending k, then ascending j >= 1.
+@lru_cache(maxsize=None)
+def _parity_bits(counts: tuple[int, ...]) -> int:
+    """The integer whose bit n is counts[n] mod 2.
+
+    Cached on the table's value, not on the (p, k) it was built for, so a
+    mask always matches the table the engine was given.
+    """
+    digits = bytes(map((1).__and__, counts)).translate(_BINARY_DIGITS)
+    return int(digits[::-1], 2)
+
+
+def _torus_masks(level: LevelContext, c: int):
+    """Yield (k, X) for the canonical embeddings k, ascending, where bit j
+    of X is set exactly when <u_j>/<u_0> < 0 at k, for 1 <= j <= r-2-2c.
 
     The cumulative ratio telescopes to
         [2c+j+1]! [j]! [c+1]! [c]! / ([2c+1]! [c+j+1]! [c+j]!),
     so with N the prefix counts of negative quantum integers at k
     (qint_sign_values), its sign is the parity of
-        N(2c+j+1) - N(2c+1) + N(j) - N(c+j+1) + N(c+1) - N(c+j) + N(c).
-    Every index is at most r - 1, where no quantum integer vanishes.
+        N(2c+j+1) + N(j) - N(c+j+1) - N(c+j) + (N(c+1) + N(c) - N(2c+1)).
+    With B the integer whose bit n is N(n) mod 2, the first four terms are,
+    for every j at once, the bits of (B >> 2c+1) ^ B ^ (B >> c+1) ^ (B >> c);
+    the bracket does not depend on j and inverts all of them when odd.
+    For c = 0 the four shifts cancel and X is 0.  Every index is at most
+    r - 1, where no quantum integer vanishes.
     """
     r = level.r
+    ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
     for k in embedding_ks(level.p):
         n = qint_sign_values(level.p, k, r - 1)
         if len(n) < r:
@@ -141,10 +179,29 @@ def _torus_signs(level: LevelContext, c: int):
                 f"[{len(n)}] vanishes at k={k}, p={level.p}, "
                 f"inside the lollipop range 1..{r - 1}"
             )
-        fixed = n[c + 1] + n[c] - n[2 * c + 1]
-        for j in range(1, r - 1 - 2 * c):
-            odd = (n[2 * c + j + 1] + n[j] - n[c + j + 1] - n[c + j] + fixed) & 1
-            yield (k, j), _PARITY_SIGN[odd]
+        b = _parity_bits(n)
+        x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
+        if (n[c + 1] + n[c] - n[2 * c + 1]) & 1:
+            x = ~x
+        yield k, x & ratios
+
+
+def _torus_witness(level: LevelContext, c: int) -> Optional[tuple[int, int]]:
+    """The first (k, j) in scan order with <u_j>/<u_0> < 0 at k, or None:
+    the lowest set bit of the first nonzero mask."""
+    for k, x in _torus_masks(level, c):
+        if x:
+            return k, (x & -x).bit_length() - 1
+    return None
+
+
+def _torus_signs(level: LevelContext, c: int):
+    """Yield ((k, j), sign of <u_j>/<u_0>) for the lollipop basis at color c,
+    in ascending k, then ascending j >= 1, read off the masks of _torus_masks."""
+    js = range(1, level.r - 1 - 2 * c)
+    for k, x in _torus_masks(level, c):
+        for j in js:
+            yield (k, j), _PARITY_SIGN[x >> j & 1]
 
 
 def _torus_sign_scan(level: LevelContext, c: int):
@@ -204,10 +261,11 @@ def clause_witness_k(r: int, c: int, clause: int) -> Optional[int]:
 def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = False) -> FinitenessVerdict:
     """Decide finiteness for the one-holed torus with boundary color 2c.
 
-    Direct computation: scan the signs of the cumulative relative norms
-    <u_j>/<u_0> over the canonical embeddings, up to the first negative
-    one (the witness).  When p = 2r and a
-    theorem clause applies, the clause's prediction is cross-checked.
+    Direct computation: the witness is the first (k, j), in ascending k
+    and then j, at which the cumulative relative norm <u_j>/<u_0> is
+    negative; one parity mask per embedding decides every j at once.  When
+    p = 2r and a theorem clause applies, the clause's prediction is
+    cross-checked.
     The p = r computations are exposed behind the experimental flag; the
     theorem clauses address p = 2r only, so no cross-check applies there.
     """
@@ -219,10 +277,10 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
         raise UsageError("p = r one-holed-torus computations are experimental; "
                          "pass experimental=True to run them")
     level = LevelContext.at(r if p_choice == "r" else 2 * r)
-    basis = lollipop_basis(level, c)
+    _check_lollipop_color(level, c)
     notes = ("experimental-odd-p",) if p_choice == "r" else ()
     surface = f"one-holed torus, r={r}, c={c}, p={level.p}"
-    if len(basis) <= 1:
+    if r - 1 - 2 * c <= 1:
         report = PositivityReport(
             level, surface, {}, Positivity.COMPLETELY_POSITIVE,
             flags=("dimension-zero",) + notes,
@@ -231,7 +289,7 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
             Finiteness.FINITE, Provenance.DIRECT_COMPUTATION, report,
             notes=notes + ("vacuous: basis dimension <= 1",),
         )
-    report = _report(level, surface, _torus_signs(level, c), notes)
+    report = _torus_report(level, surface, c, notes)
     verdict = _finiteness(report)
     clause = None
     crosscheck = Crosscheck.NOT_APPLICABLE
@@ -320,10 +378,8 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
 
     # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
     # the one-holed torus at c = 1 already fails complete positivity.
-    report = _report(
-        level,
-        f"closed genus {g}, p={p} (via one-holed torus c=1)",
-        _torus_signs(level, 1),
+    report = _torus_report(
+        level, f"closed genus {g}, p={p} (via one-holed torus c=1)", 1
     )
     if report.witness is None:
         raise InvariantViolation(

@@ -7,8 +7,11 @@ are kept as formal signed products of quantum integers, so sign
 evaluation at an embedding is exact and division-free.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from math import gcd
 
 from .context import LevelContext
 from .cyclotomic import CyclotomicInteger, EmbeddingIndex, Sign, sin_sign
@@ -125,10 +128,23 @@ def qfactorial(n: int) -> QuantumFactored:
 
 
 def qfactorial_ratio(num, den) -> QuantumFactored:
-    """prod [n]! over n in num divided by prod [n]! over n in den."""
-    pairs = [pair for n in num for pair in qfactorial(n).factors]
-    pairs += [(m, -e) for n in den for m, e in qfactorial(n).factors]
-    return QuantumFactored.from_factors(1, pairs)
+    """prod [n]! over n in num divided by prod [n]! over n in den.
+
+    The exponent of [m] is #{n in num : n >= m} - #{n in den : n >= m}, a
+    step function of m that changes only at the given n.  Walking those
+    breakpoints downward emits each run of nonzero exponents directly, in
+    canonical order (m descending, [1] and zero exponents left out).
+    """
+    steps = Counter(num)
+    steps.subtract(den)
+    points = sorted((n for n in steps if n > 1), reverse=True)
+    factors = []
+    exponent = 0
+    for top, bottom in zip(points, points[1:] + [1]):
+        exponent += steps[top]
+        if exponent:
+            factors.extend((m, exponent) for m in range(top, bottom, -1))
+    return QuantumFactored(1, tuple(factors))
 
 
 def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
@@ -141,6 +157,18 @@ def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
 
 
 @lru_cache(maxsize=None)
+def _negative_residues(p: int, k_negative: bool) -> bytes:
+    """Byte x is 1 when [m] < 0 at k for m*k = x (mod p), 0 < x < p, 2x != p.
+
+    [m] < 0 when sin(2 pi m k / p) and sin(2 pi k / p) differ in sign, and
+    sin(2 pi x / p) < 0 exactly when p/2 < x < p.
+    """
+    half = p // 2 + 1  # residues 0 .. p//2, where sin(2 pi x / p) >= 0
+    low, high = (b"\1", b"\0") if k_negative else (b"\0", b"\1")
+    return low * half + high * (p - half)
+
+
+@lru_cache(maxsize=None)
 def qint_sign_values(p: int, k: int, n_max: int) -> tuple[int, ...]:
     """Prefix counts N(n) = #{1 <= m <= n : [m] < 0 at k}, for 0 <= n <= n_max.
 
@@ -148,17 +176,13 @@ def qint_sign_values(p: int, k: int, n_max: int) -> tuple[int, ...]:
     indices) when no [m] in range vanishes, so the table stops before the
     first [m] that vanishes at k: it is shorter than n_max + 1 exactly then.
     """
-    # [m] < 0 when sin(2 pi m k / p) and sin(2 pi k / p) differ in sign;
-    # sin(2 pi x / p) < 0 when p/2 < x mod p < p.
-    k_negative = 2 * (k % p) > p
-    counts = [0]
-    x = 0
-    for _ in range(n_max):
-        x = (x + k) % p
-        if x == 0 or 2 * x == p:
-            break
-        counts.append(counts[-1] + ((2 * x > p) != k_negative))
-    return tuple(counts)
+    step = k % p
+    # [m] vanishes when p divides 2mk, first at m = p / gcd(2k, p)
+    length = min(n_max, p // gcd(2 * step, p) - 1)
+    negative = _negative_residues(p, 2 * step > p)
+    # m*k mod p for m = 1 .. length (an empty range when step = 0)
+    residues = map(p.__rmod__, range(step, step * (length + 1), step or 1))
+    return tuple(accumulate(map(negative.__getitem__, residues), initial=0))
 
 
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:

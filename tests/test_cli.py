@@ -10,13 +10,18 @@ from pathlib import Path
 import pytest
 
 import rtfinite
-from rtfinite import positivity
+from rtfinite import cli, positivity
 from rtfinite.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_LATTICE_PHI,
+    MAX_LEVEL_R,
+    MAX_SAMPLES,
+    MAX_SWEEP_R,
     ReportRecord,
+    check_limit,
     main,
     scan_workers,
 )
@@ -217,3 +222,51 @@ def test_cli_import_leaves_sympy_out():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    src = str(Path(rtfinite.__file__).resolve().parents[1])
+    code = "import sys, rtfinite.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout == "False\n"
+
+
+class TestSizeLimits:
+    def test_check_limit(self):
+        check_limit("--r-max", 500, 500)
+        with pytest.raises(UsageError, match="--r-max = 501"):
+            check_limit("--r-max", 501, 500)
+
+    def test_benchmark_and_anchor_sizes_are_admitted(self):
+        # decide-torus --r 1999, scan --r-max 499, verify-theorem --r-max 199,
+        # lattice-check up to phi(alpha_p) = 84 with 1000 samples
+        assert MAX_LEVEL_R >= 1999
+        assert MAX_SWEEP_R >= 499
+        assert MAX_LATTICE_PHI >= 84
+        assert MAX_SAMPLES >= 1000
+
+    @pytest.mark.parametrize("argv", [
+        ["decide-torus", "--r", "2003", "--c", "0"],
+        ["decide-closed", "--p", "4006", "--g", "2"],
+        ["decide-closed", "--p", "2003", "--g", "2"],
+        ["scan", "--r-max", str(MAX_SWEEP_R + 1)],
+        ["verify-theorem", "--r-max", str(MAX_SWEEP_R + 1)],
+        ["lattice-check", "--p", "262"],  # phi(alpha_p) = 2 * 130
+        ["lattice-check", "--p", "7", "--samples", str(MAX_SAMPLES + 1)],
+    ])
+    def test_rejected_before_any_work(self, argv, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("work started")
+
+        for name in ("decide_torus", "decide_closed", "discreteness_certificate",
+                     "primerange"):
+            monkeypatch.setattr(cli, name, fail)
+        code, out = run(argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "above the limit" in err
+        assert err.count("\n") == 1

@@ -91,6 +91,12 @@ class TestLevelContext:
         # p = r = 3 (mod 4): alpha_p = r itself, so totient meets a large prime
         assert LevelContext.at(r).phi_alpha == r - 1
 
+    def test_at_is_a_cached_classmethod(self):
+        assert isinstance(vars(LevelContext)["at"], classmethod)
+        assert LevelContext.at(22) is LevelContext.at(22)
+        with pytest.raises(UsageError):
+            LevelContext.at(9)
+
     @pytest.mark.parametrize("p", [2**61 - 1 + 2, 2 * (2**61 + 1), 2 * 561])
     def test_huge_non_level_rejected(self, p):
         with pytest.raises(UsageError):

@@ -12,13 +12,14 @@ from rtfinite.positivity import (
     Positivity,
     Provenance,
     _torus_sign_scan,
+    _torus_witness,
     check_complete_positivity,
     decide_closed,
     decide_torus,
     clause_witness_k,
     theorem_predicate,
 )
-from rtfinite.quantum import eval_sign
+from rtfinite.quantum import eval_sign, qint_sign_values
 
 
 class TestCheckCompletePositivity:
@@ -158,6 +159,49 @@ class TestSignEngine:
                 if witness is not None:
                     entries = entries[: list(full).index(witness) + 1]
                 assert list(report.sign_matrix.items()) == entries
+
+
+def _seven_term_witness(level, c):
+    """First (k, j) with a negative cumulative ratio, one entry at a time from
+    the prefix counts: the per-entry parity rule the masks replace."""
+    r = level.r
+    for emb in embeddings(level):
+        n = qint_sign_values(level.p, emb.k, r - 1)
+        for j in range(1, r - 1 - 2 * c):
+            parity = (n[2 * c + j + 1] - n[2 * c + 1] + n[j] - n[c + j + 1]
+                      + n[c + 1] - n[c + j] + n[c])
+            if parity % 2:
+                return emb.k, j
+    return None
+
+
+class TestMaskWitness:
+    @pytest.mark.parametrize("r", list(primerange(3, 150)))
+    def test_matches_per_entry_scan(self, r):
+        for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+            for c in range((r - 2) // 2 + 1):
+                assert _torus_witness(level, c) == _seven_term_witness(level, c), (
+                    level.p, c)
+
+    def test_parity_bits(self):
+        # bit n is counts[n] mod 2; the order is invisible in the witnesses,
+        # whose tables are symmetric: N(r-1-n) = N(r-1) - N(n)
+        assert positivity._parity_bits((0, 1, 1, 2, 3)) == 0b10110
+
+    def test_sign_matrix_is_built_on_first_access(self, monkeypatch):
+        def fail(level, c):
+            raise AssertionError("sign entries built eagerly")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(positivity, "_torus_signs", fail)
+            verdict = decide_torus(97, 0)
+            closed = decide_closed(14, 2)
+        assert verdict.verdict is Finiteness.FINITE
+        assert closed.report.witness == (5, 1)
+        report = verdict.report
+        assert report.sign_matrix == _torus_sign_scan(report.level, 0)[0]
+        assert len(report.sign_matrix) == len(embeddings(report.level)) * 95
+        assert list(closed.report.sign_matrix)[-1] == closed.report.witness
 
 
 class TestReportEntries:

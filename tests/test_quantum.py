@@ -4,6 +4,7 @@ from math import pi
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
 from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
@@ -14,6 +15,7 @@ from rtfinite.quantum import (
     bracket_color,
     eval_sign,
     qfactorial,
+    qfactorial_ratio,
     qint,
     qint_sign,
     qint_sign_values,
@@ -121,6 +123,47 @@ class TestQintSignValues:
         r = p // 2
         for emb in embeddings(p):
             assert qint_sign_values(p, emb.k, p) == qint_sign_values(p, emb.k, r - 1)
+
+
+def _loop_sign_values(p, k, n_max):
+    """qint_sign_values one residue at a time: the reference for the table."""
+    k_negative = 2 * (k % p) > p
+    counts = [0]
+    x = 0
+    for _ in range(n_max):
+        x = (x + k) % p
+        if x == 0 or 2 * x == p:
+            break
+        counts.append(counts[-1] + ((2 * x > p) != k_negative))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "p", [q for r in primerange(3, 201) for q in (r, 2 * r) if q <= 400]
+)
+def test_sign_values_match_the_loop(p):
+    r = p if p % 2 else p // 2
+    build = qint_sign_values.__wrapped__  # uncached: the test visits every k
+    for k in range(-1, p + 2):
+        for n_max in (0, r - 1, p + 1):
+            assert build(p, k, n_max) == _loop_sign_values(p, k, n_max), (k, n_max)
+
+
+def _merged_ratio(num, den):
+    """qfactorial_ratio as one from_factors merge of every factorial's factors."""
+    pairs = [pair for n in num for pair in qfactorial(n).factors]
+    pairs += [(m, -e) for n in den for m, e in qfactorial(n).factors]
+    return QuantumFactored.from_factors(1, pairs)
+
+
+@given(
+    st.lists(st.integers(0, 30), max_size=8),
+    st.lists(st.integers(0, 30), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_factorial_ratio_runs_match_the_merge(num, den):
+    assert qfactorial_ratio(num, den) == _merged_ratio(num, den)
+    assert qfactorial_ratio(num + den, den + num) == ONE
 
 
 class TestEvalSign:
