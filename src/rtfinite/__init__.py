@@ -8,10 +8,7 @@ submodules for the full API.
 from .bases import (
     AdmissibleTriple,
     GramRatio,
-    LollipopVector,
     admissible_triples,
-    color_set,
-    lollipop_basis,
     lollipop_ratio_step,
     lollipop_ratio_two_step,
     theta_norm_ratio,
@@ -49,7 +46,6 @@ from .quantum import (
     qint,
     qint_sign,
     theta_symbol,
-    twist_eigenvalue,
 )
 
 __version__ = "0.1.0"

@@ -15,22 +15,6 @@ from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, qint, the
 
 
 @dataclass(frozen=True)
-class LollipopVector:
-    """Basis vector u_i^c of the one-holed torus space: loop i+c, stick 2c."""
-
-    c: int
-    i: int
-
-    @property
-    def loop_color(self) -> int:
-        return self.i + self.c
-
-    @property
-    def stick_color(self) -> int:
-        return 2 * self.c
-
-
-@dataclass(frozen=True)
 class AdmissibleTriple:
     a: int
     b: int
@@ -44,14 +28,7 @@ class AdmissibleTriple:
 class GramRatio:
     """The ratio <numerator> / <denominator> of two diagonal Gram norms."""
 
-    numerator_index: object
-    denominator_index: object
     value: QuantumFactored
-
-
-def color_set(level: LevelContext) -> list[int]:
-    """Valid edge colors: 0..r-2 when p = 2r, even integers 0..p-3 when p odd."""
-    return list(level.colors)
 
 
 def is_admissible(level: LevelContext, a: int, b: int, c: int) -> bool:
@@ -78,19 +55,13 @@ def _check_lollipop_color(level: LevelContext, c: int):
         raise UsageError(f"boundary half-color c = {c} out of range for r = {level.r}")
 
 
-def lollipop_basis(level: LevelContext, c: int) -> list[LollipopVector]:
-    """Vectors u_i^c for 0 <= i <= r-2-2c; empty when the range is empty."""
-    _check_lollipop_color(level, c)
-    return [LollipopVector(c, i) for i in range(level.r - 1 - 2 * c)]
-
-
 def lollipop_ratio_step(level: LevelContext, c: int, i: int) -> GramRatio:
     """<u_{i+1}, u_{i+1}> / <u_i, u_i> = [2c+i+2][i+1] / ([c+i+2][c+i+1])."""
     _check_lollipop_color(level, c)
     if not 0 <= i <= level.r - 3 - 2 * c:
         raise UsageError(f"step index i = {i} out of range for r = {level.r}, c = {c}")
     value = (qint(2 * c + i + 2) * qint(i + 1)) / (qint(c + i + 2) * qint(c + i + 1))
-    return GramRatio(LollipopVector(c, i + 1), LollipopVector(c, i), value)
+    return GramRatio(value)
 
 
 def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
@@ -107,7 +78,7 @@ def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
         )
     num = qint(2 * c + i + 3) * qint(2 * c + i + 2) * qint(i + 2) * qint(i + 1)
     den = qint(c + i + 1) * qint(c + i + 3) * qint(c + i + 2) ** 2
-    return GramRatio(LollipopVector(c, i + 2), LollipopVector(c, i), num / den)
+    return GramRatio(num / den)
 
 
 def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:
@@ -120,7 +91,7 @@ def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:
     if not 1 <= j <= level.r - 2 - 2 * c:
         raise UsageError(f"index j = {j} out of range for r = {level.r}, c = {c}")
     value = qfactorial_ratio((2 * c + j + 1, j, c + 1, c), (2 * c + 1, c + j + 1, c + j))
-    return GramRatio(LollipopVector(c, j), LollipopVector(c, 0), value)
+    return GramRatio(value)
 
 
 def theta_norm_ratio(level: LevelContext, t: AdmissibleTriple) -> GramRatio:
@@ -141,4 +112,4 @@ def theta_norm_ratio(level: LevelContext, t: AdmissibleTriple) -> GramRatio:
     else:
         unsigned = QuantumFactored(abs(theta.unit), theta.factors)
         value = unsigned / den
-    return GramRatio(t, AdmissibleTriple(0, 0, 0), value)
+    return GramRatio(value)

@@ -23,7 +23,6 @@ from .errors import InvariantViolation, UsageError
 from .lattice import discreteness_certificate
 from .positivity import (
     Crosscheck,
-    Finiteness,
     FinitenessVerdict,
     decide_closed,
     decide_torus,
@@ -36,9 +35,10 @@ EXIT_IO = 4
 
 # Largest sizes a command line may ask for, so that one call runs for seconds,
 # not hours.  The slowest admitted call of each kind, on a 2-core machine:
-# decide-closed --p 3998 --g 1 about 6 s and 530 MB, verify-theorem --r-max 499
-# about 7 s, lattice-check --p 254 --samples 10000 about 14 s (README,
-# "Limits").  The library itself takes any size.
+# decide-closed --p 3998 --g 1 and decide-torus --r 1999 --c 0 or 998 about
+# 1.4 s and 140 MB, verify-theorem --r-max 499 about 7 s, lattice-check --p 254
+# --samples 10000 about 14 s (README, "Limits").  The library itself takes any
+# size.
 MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p
 MAX_SWEEP_R = 500  # scan and verify-theorem --r-max
 MAX_LATTICE_PHI = 256  # phi(alpha_p) of lattice-check --p
@@ -64,10 +64,6 @@ class ReportRecord:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportRecord":
-        return cls(**d)
 
 
 def _witness_dict(verdict: FinitenessVerdict) -> Optional[dict]:
@@ -316,40 +312,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    def out_option(p):
         p.add_argument("--out", default=None, help="also write the report here")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=0)
+
+    def report_options(p):
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        out_option(p)
 
     p = sub.add_parser("decide-torus", help="one-holed torus at (r, c)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--p-choice", choices=("r", "2r"), default="2r")
     p.add_argument("--experimental-odd-p", action="store_true")
-    common(p)
+    report_options(p)
     p.set_defaults(func=_cmd_decide_torus)
 
     p = sub.add_parser("decide-closed", help="closed genus-g surface at level p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    common(p)
+    report_options(p)
     p.set_defaults(func=_cmd_decide_closed)
 
     p = sub.add_parser("scan", help="all (r, c) with nonempty basis, r <= r-max")
     p.add_argument("--r-max", type=int, required=True)
-    common(p)
+    report_options(p)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify-theorem", help="reproduce every clause instance in range")
     p.add_argument("--r-max", type=int, required=True)
-    common(p)
+    out_option(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("lattice-check", help="discreteness certificate for O_p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    out_option(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_lattice_check)
 
     return parser

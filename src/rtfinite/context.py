@@ -116,10 +116,6 @@ class LevelContext:
     alpha_p: int
     phi_alpha: int
     colors: range
-    # kappa is never used in arithmetic: the verdict is invariant under the
-    # global sign flip that changing kappa can cause.  We only record the
-    # exponent in the defining relation kappa^6 = A^kappa_exponent.
-    kappa_exponent: int
 
     @classmethod
     def at(cls, p: int) -> "LevelContext":
@@ -145,5 +141,4 @@ def _level_context(cls, p: int) -> LevelContext:
         alpha_p=a,
         phi_alpha=totient(a),
         colors=colors,
-        kappa_exponent=-6 - p * (p + 1) // 2,
     )

@@ -47,7 +47,6 @@ class Crosscheck(enum.Enum):
 
 class Provenance(enum.Enum):
     DIRECT_COMPUTATION = "direct-computation"
-    THEOREM_CLAUSE = "theorem-clause"
     CLOSED_SURFACE_RULE = "closed-surface-rule"
 
 
@@ -320,11 +319,11 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
     """Decide finiteness for the closed surface of genus g at level p.
 
     Composes the computational witnesses the way the handle-splitting
-    decomposition allows: genus 1 directly (all ratios are the unit
-    symbol), r = 3 by checking every admissible-coloring norm, r = 5 by
-    the designated genus-2 theta witness (embedded by zero-coloring for
-    g >= 3), and r >= 7 through the non-complete-positivity of the
-    one-holed torus at boundary color 1.
+    decomposition allows: genus 1 by the c = 0 one-holed-torus scan (all
+    its ratios are the unit symbol), r = 3 by checking every
+    admissible-coloring norm, r = 5 by the designated genus-2 theta witness
+    (embedded by zero-coloring for g >= 3), and r >= 7 through the
+    non-complete-positivity of the one-holed torus at boundary color 1.
     """
     if g < 1:
         raise UsageError(f"genus must be >= 1, got {g}")
@@ -336,7 +335,7 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
         if not all(s.value.is_unit for s in steps):
             raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
-        report = check_complete_positivity(steps, level, f"closed torus, p={p}")
+        report = _torus_report(level, f"closed torus, p={p}", 0)
         return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
 
     if r == 3:

@@ -13,8 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .context import LevelContext
-from .cyclotomic import CyclotomicInteger, EmbeddingIndex, Sign, sin_sign
+from .cyclotomic import EmbeddingIndex, Sign, sin_sign
 from .errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
 
 
@@ -229,11 +228,3 @@ def theta_symbol(a: int, b: int, c: int) -> QuantumFactored:
     result = qfactorial_ratio((x + y + z + 1, x, y, z), (y + z, x + z, x + y))
     return -result if (x + y + z) % 2 else result
 
-
-def twist_eigenvalue(c: int, level: LevelContext) -> CyclotomicInteger:
-    """Dehn twist eigenvalue mu_c = (-1)^c A^(c(c+2)) as a residue mod phi_2p."""
-    if c < 0:
-        raise UsageError(f"color must be nonnegative, got {c}")
-    return CyclotomicInteger.monomial(
-        2 * level.p, c * (c + 2), -1 if c % 2 else 1
-    )

@@ -4,9 +4,7 @@ from sympy import primerange
 from rtfinite.bases import (
     AdmissibleTriple,
     admissible_triples,
-    color_set,
     is_admissible,
-    lollipop_basis,
     lollipop_ratio_cumulative,
     lollipop_ratio_step,
     lollipop_ratio_two_step,
@@ -20,42 +18,52 @@ from rtfinite.quantum import ONE, eval_sign, qint
 
 class TestColorSet:
     def test_p6(self):
-        assert color_set(LevelContext.at(6)) == [0, 1]
+        assert list(LevelContext.at(6).colors) == [0, 1]
 
     def test_p5(self):
-        assert color_set(LevelContext.at(5)) == [0, 2]
+        assert list(LevelContext.at(5).colors) == [0, 2]
 
     def test_p10(self):
-        assert color_set(LevelContext.at(10)) == [0, 1, 2, 3]
+        assert list(LevelContext.at(10).colors) == [0, 1, 2, 3]
+
+
+def basis_indices(level, c):
+    """The i of the lollipop vectors u_i^c that the cumulative ratio
+    builder accepts: u_0 and every j with a ratio <u_j>/<u_0>."""
+    indices = [0]
+    while True:
+        try:
+            lollipop_ratio_cumulative(level, c, indices[-1] + 1)
+        except UsageError:
+            return indices
+        indices.append(indices[-1] + 1)
 
 
 class TestLollipopBasis:
     def test_two_dimensional_boundary_case(self):
         # 2c = r - 3: exactly {u_0, u_1}
-        basis = lollipop_basis(LevelContext.at(10), 1)
-        assert [v.i for v in basis] == [0, 1]
+        assert basis_indices(LevelContext.at(10), 1) == [0, 1]
 
     def test_count(self):
-        assert len(lollipop_basis(LevelContext.at(14), 0)) == 6
+        assert len(basis_indices(LevelContext.at(14), 0)) == 6
 
     def test_out_of_range_color(self):
         with pytest.raises(UsageError):
-            lollipop_basis(LevelContext.at(10), 2)
+            lollipop_ratio_cumulative(LevelContext.at(10), 2, 1)
 
     @pytest.mark.parametrize("r", [5, 7, 11, 13])
     def test_dimension_formula(self, r):
         level = LevelContext.at(2 * r)
         for c in range((r - 2) // 2 + 1):
-            assert len(lollipop_basis(level, c)) == max(0, r - 1 - 2 * c)
+            assert len(basis_indices(level, c)) == r - 1 - 2 * c
 
     @pytest.mark.parametrize("r", [5, 7, 11, 13])
     def test_vertex_triples_admissible(self, r):
+        # u_i^c has its loop colored i + c and its stick colored 2c
         level = LevelContext.at(2 * r)
         for c in range((r - 2) // 2 + 1):
-            for v in lollipop_basis(level, c):
-                assert is_admissible(
-                    level, v.loop_color, v.loop_color, v.stick_color
-                ), (c, v.i)
+            for i in range(r - 1 - 2 * c):
+                assert is_admissible(level, i + c, i + c, 2 * c), (c, i)
 
 
 class TestLollipopRatios:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -47,7 +48,7 @@ class TestReportRecord:
             dimension=4,
             timing_s=0.0,
         )
-        restored = ReportRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        restored = ReportRecord(**json.loads(json.dumps(rec.to_dict())))
         assert restored == rec
 
 
@@ -178,7 +179,7 @@ class TestInvariantViolation:
 
 class TestVerifyTheoremCommand:
     def test_agrees_in_range(self):
-        code, out = run(["verify-theorem", "--r-max", "23", "--jobs", "1"])
+        code, out = run(["verify-theorem", "--r-max", "23"])
         assert code == EXIT_OK
         assert "DISAGREE" not in out
         assert "clause witnesses: all negative as claimed" in out
@@ -201,6 +202,49 @@ class TestLatticeCheckCommand:
 
 def test_invariant_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_USAGE, EXIT_INVARIANT} == {0, 2, 3}
+
+
+# The options each command reads, besides -h/--help.
+COMMAND_OPTIONS = {
+    "decide-torus": {"--r", "--c", "--p-choice", "--experimental-odd-p", "--format", "--out"},
+    "decide-closed": {"--p", "--g", "--format", "--out"},
+    "scan": {"--r-max", "--format", "--out", "--jobs"},
+    "verify-theorem": {"--r-max", "--out"},
+    "lattice-check": {"--p", "--samples", "--out", "--seed"},
+}
+
+VALID_ARGS = {
+    "decide-torus": ["--r", "7", "--c", "1"],
+    "decide-closed": ["--p", "10", "--g", "2"],
+    "scan": ["--r-max", "7"],
+    "verify-theorem": ["--r-max", "7"],
+    "lattice-check": ["--p", "7", "--samples", "5"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,option", [
+        ("decide-torus", "--jobs"), ("decide-torus", "--seed"),
+        ("decide-closed", "--jobs"), ("decide-closed", "--seed"),
+        ("scan", "--seed"),
+        ("verify-theorem", "--format"), ("verify-theorem", "--jobs"),
+        ("verify-theorem", "--seed"),
+        ("lattice-check", "--format"), ("lattice-check", "--jobs"),
+    ])
+    def test_ignored_option_is_a_usage_error(self, command, option, capsys):
+        value = "text" if option == "--format" else "1"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *VALID_ARGS[command], option, value])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_help_lists_the_options_the_command_reads(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == COMMAND_OPTIONS[command] | {"--help"}
 
 
 class TestIOError:

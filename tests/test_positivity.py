@@ -293,6 +293,21 @@ class TestDecideClosed:
         assert verdict.verdict is Finiteness.FINITE
         assert verdict.report.verdict is Positivity.COMPLETELY_POSITIVE
 
+    def test_genus1_runs_no_per_entry_sign_evaluation(self, monkeypatch):
+        def fail(value, emb):
+            raise AssertionError("closed torus evaluated a ratio entry by entry")
+
+        monkeypatch.setattr(positivity, "eval_sign", fail)
+        for p in (3, 5, 6, 14, 998):
+            assert decide_closed(p, 1).verdict is Finiteness.FINITE
+
+    @pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 97])
+    def test_genus1_signs_are_the_c0_torus_signs(self, r):
+        even = decide_torus(r, 0).report.sign_matrix
+        odd = decide_torus(r, 0, p_choice="r", experimental=True).report.sign_matrix
+        assert decide_closed(2 * r, 1).report.sign_matrix == even
+        assert decide_closed(r, 1).report.sign_matrix == odd
+
     def test_p5_witness(self):
         verdict = decide_closed(5, 2)
         assert verdict.verdict is Finiteness.INFINITE

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
-from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
 from rtfinite.errors import DivisionByZeroQuantumInteger, UsageError
 from rtfinite.quantum import (
@@ -20,7 +19,6 @@ from rtfinite.quantum import (
     qint_sign,
     qint_sign_values,
     theta_symbol,
-    twist_eigenvalue,
 )
 
 
@@ -234,25 +232,3 @@ class TestBracketAndTheta:
         assert qfactorial(4) == qint(2) * qint(3) * qint(4)
         assert qfactorial(1) == ONE
 
-
-class TestTwistEigenvalue:
-    def test_trivial_color(self):
-        level = LevelContext.at(10)
-        assert twist_eigenvalue(0, level).coeffs[0] == 1
-        assert all(c == 0 for c in twist_eigenvalue(0, level).coeffs[1:])
-
-    def test_color_one_p10(self):
-        # mu_1 = -A^3 in Z[A]/phi_20
-        level = LevelContext.at(10)
-        mu = twist_eigenvalue(1, level)
-        expected = [0] * 8
-        expected[3] = -1
-        assert mu.coeffs == tuple(expected)
-
-    @pytest.mark.parametrize("p", [5, 7, 10, 14])
-    def test_unit_modulus(self, p):
-        level = LevelContext.at(p)
-        for c in level.colors:
-            mu = twist_eigenvalue(c, level)
-            for emb in embeddings(p):
-                assert abs(abs(mu.evaluate(emb.root())) - 1) < 1e-9
