@@ -60,7 +60,7 @@ class ReportRecord:
     clause: Optional[int]
     crosscheck: str
     dimension: Optional[int]
-    timing_s: float
+    timing_s: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -68,7 +68,7 @@ class ReportRecord:
 
 def _witness_dict(verdict: FinitenessVerdict) -> Optional[dict]:
     report = verdict.report
-    if report is None or report.witness is None:
+    if report.witness is None:
         return None
     k, ratio_id = report.witness
     text = None
@@ -83,23 +83,19 @@ def _witness_dict(verdict: FinitenessVerdict) -> Optional[dict]:
 
 
 def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRecord:
-    start = time.perf_counter()
     verdict = decide_torus(r, c, p_choice, experimental)
-    level = verdict.report.level
     return ReportRecord(
-        parameters={"command": "decide-torus", "r": r, "c": c, "p": level.p},
+        parameters={"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p},
         verdict=verdict.verdict.value,
         provenance=verdict.provenance.value,
         witness=_witness_dict(verdict),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=r - 1 - 2 * c,
-        timing_s=round(time.perf_counter() - start, 6),
     )
 
 
 def _closed_record(p: int, g: int) -> ReportRecord:
-    start = time.perf_counter()
     verdict = decide_closed(p, g)
     return ReportRecord(
         parameters={"command": "decide-closed", "p": p, "g": g},
@@ -109,16 +105,19 @@ def _closed_record(p: int, g: int) -> ReportRecord:
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=None,
-        timing_s=round(time.perf_counter() - start, 6),
     )
 
 
+def _timed(record, *args) -> ReportRecord:
+    """record(*args), stamped with the wall time it took to decide and build."""
+    start = time.perf_counter()
+    rec = record(*args)
+    return replace(rec, timing_s=round(time.perf_counter() - start, 6))
+
+
 def _scan_prime(r: int) -> list[ReportRecord]:
-    return [
-        _torus_record(r, c, "2r", False)
-        for c in range((r - 1) // 2 + 1)
-        if r - 1 - 2 * c >= 1
-    ]
+    """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
+    return [_torus_record(r, c, "2r", False) for c in range((r - 1) // 2)]
 
 
 def _render(records: list[ReportRecord], fmt: str) -> str:
@@ -165,14 +164,14 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_decide_torus(args) -> int:
     check_limit("r", args.r, MAX_LEVEL_R)
-    rec = _torus_record(args.r, args.c, args.p_choice, args.experimental_odd_p)
+    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.experimental_odd_p)
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_decide_closed(args) -> int:
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
-    rec = _closed_record(args.p, args.g)
+    rec = _timed(_closed_record, args.p, args.g)
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
@@ -199,11 +198,8 @@ def _cmd_scan(args) -> int:
             chunks = list(pool.map(_scan_prime, primes))
     else:
         chunks = [_scan_prime(r) for r in primes]
+    # pool.map keeps the primes in order, and each chunk is in ascending c
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda rec: (rec.parameters["r"], rec.parameters["c"]))
-    # wall-clock timings are run-dependent; zero them so equal configs
-    # produce bitwise identical output
-    records = [replace(rec, timing_s=0.0) for rec in records]
     _emit(_render(records, args.format), args.out)
     return EXIT_OK
 
@@ -226,9 +222,7 @@ def _cmd_verify_theorem(args) -> int:
     witness_misses = []
     for r in primerange(5, args.r_max + 1):
         level = LevelContext.at(2 * r)
-        for c in range((r - 1) // 2 + 1):
-            if r - 1 - 2 * c < 2:
-                continue
+        for c in range((r - 1) // 2):
             predicted = theorem_predicate(r, c)
             if predicted is None:
                 continue

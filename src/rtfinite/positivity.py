@@ -52,23 +52,28 @@ class Provenance(enum.Enum):
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Verdict, witness and the sign entries that lead to them.
+    """Witness and the sign entries that lead to it.
 
-    sign_matrix maps (embedding k, ratio id) to a Sign in scan order
-    (ascending k, then ratio): every entry when there is no witness,
-    otherwise the entries up to and including the witness.  A report of
-    the one-holed-torus scan at color torus_c finds its witness without
-    evaluating entries one by one, and builds sign_matrix from the sign
-    engine on first access; any other report holds it in entries.
+    The witness is the first (embedding k, ratio id) in scan order at which
+    a ratio is negative, or None; the verdict is read off it.  sign_matrix
+    maps (k, ratio id) to a Sign in scan order (ascending k, then ratio):
+    every entry when there is no witness, otherwise the entries up to and
+    including the witness.  A report of the one-holed-torus scan at color
+    torus_c finds its witness without evaluating entries one by one, and
+    builds sign_matrix from the sign engine on first access; any other
+    report holds it in entries.
     """
 
     level: LevelContext
-    surface: str
     entries: dict
-    verdict: Positivity
     witness: Optional[tuple] = None
-    flags: tuple[str, ...] = ()
     torus_c: Optional[int] = None
+
+    @property
+    def verdict(self) -> Positivity:
+        if self.witness is None:
+            return Positivity.COMPLETELY_POSITIVE
+        return Positivity.NOT_COMPLETELY_POSITIVE
 
     @cached_property
     def sign_matrix(self) -> dict:
@@ -79,12 +84,23 @@ class PositivityReport:
 
 @dataclass(frozen=True)
 class FinitenessVerdict:
-    verdict: Finiteness
+    """The image is finite exactly when the report has no witness."""
+
     provenance: Provenance
-    report: Optional[PositivityReport] = None
+    report: PositivityReport
     clause: Optional[int] = None
     crosscheck: Crosscheck = Crosscheck.NOT_APPLICABLE
-    notes: tuple[str, ...] = ()
+
+    @property
+    def verdict(self) -> Finiteness:
+        return Finiteness.FINITE if self.report.witness is None else Finiteness.INFINITE
+
+
+def _crosscheck(report: PositivityReport, expected: Finiteness) -> Crosscheck:
+    """AGREE when the report has a witness exactly when expected is INFINITE."""
+    if (report.witness is None) == (expected is Finiteness.FINITE):
+        return Crosscheck.AGREE
+    return Crosscheck.DISAGREE
 
 
 def _scan_to_witness(entries) -> tuple[dict, Optional[tuple]]:
@@ -98,32 +114,12 @@ def _scan_to_witness(entries) -> tuple[dict, Optional[tuple]]:
     return sign_matrix, None
 
 
-def _finiteness(report: PositivityReport) -> Finiteness:
-    return Finiteness.FINITE if report.witness is None else Finiteness.INFINITE
-
-
-def _positivity(witness) -> Positivity:
-    if witness is None:
-        return Positivity.COMPLETELY_POSITIVE
-    return Positivity.NOT_COMPLETELY_POSITIVE
-
-
-def _report(level, surface, entries, flags=()) -> PositivityReport:
-    sign_matrix, witness = _scan_to_witness(entries)
-    return PositivityReport(
-        level, surface, sign_matrix, _positivity(witness), witness, flags
-    )
-
-
-def _torus_report(level, surface, c, flags=()) -> PositivityReport:
-    witness = _torus_witness(level, c)
-    return PositivityReport(
-        level, surface, {}, _positivity(witness), witness, flags, torus_c=c
-    )
+def _torus_report(level: LevelContext, c: int) -> PositivityReport:
+    return PositivityReport(level, {}, _torus_witness(level, c), torus_c=c)
 
 
 def check_complete_positivity(
-    ratios: Sequence[GramRatio], level: LevelContext, surface: str = ""
+    ratios: Sequence[GramRatio], level: LevelContext
 ) -> PositivityReport:
     """Evaluate relative-norm ratios at the canonical embeddings.
 
@@ -136,7 +132,7 @@ def check_complete_positivity(
         for emb in embeddings(level)
         for idx, ratio in enumerate(ratios)
     )
-    return _report(level, surface, entries)
+    return PositivityReport(level, *_scan_to_witness(entries))
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
@@ -201,12 +197,6 @@ def _torus_signs(level: LevelContext, c: int):
     for k, x in _torus_masks(level, c):
         for j in js:
             yield (k, j), _PARITY_SIGN[x >> j & 1]
-
-
-def _torus_sign_scan(level: LevelContext, c: int):
-    """Full sign matrix of <u_j>/<u_0> over (k, j) at color c, and its witness."""
-    sign_matrix = dict(_torus_signs(level, c))
-    return sign_matrix, _scan_to_witness(sign_matrix.items())[1]
 
 
 def theorem_predicate(r: int, c: int) -> Optional[tuple[int, Finiteness]]:
@@ -277,42 +267,29 @@ def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = Fals
                          "pass experimental=True to run them")
     level = LevelContext.at(r if p_choice == "r" else 2 * r)
     _check_lollipop_color(level, c)
-    notes = ("experimental-odd-p",) if p_choice == "r" else ()
-    surface = f"one-holed torus, r={r}, c={c}, p={level.p}"
-    if r - 1 - 2 * c <= 1:
-        report = PositivityReport(
-            level, surface, {}, Positivity.COMPLETELY_POSITIVE,
-            flags=("dimension-zero",) + notes,
-        )
-        return FinitenessVerdict(
-            Finiteness.FINITE, Provenance.DIRECT_COMPUTATION, report,
-            notes=notes + ("vacuous: basis dimension <= 1",),
-        )
-    report = _torus_report(level, surface, c, notes)
-    verdict = _finiteness(report)
+    report = _torus_report(level, c)
     clause = None
     crosscheck = Crosscheck.NOT_APPLICABLE
     if p_choice == "2r":
         predicted = theorem_predicate(r, c)
         if predicted is not None:
             clause, expected = predicted
-            crosscheck = (
-                Crosscheck.AGREE if expected is verdict else Crosscheck.DISAGREE
-            )
-    return FinitenessVerdict(
-        verdict, Provenance.DIRECT_COMPUTATION, report, clause, crosscheck, notes
-    )
+            crosscheck = _crosscheck(report, expected)
+    return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report, clause, crosscheck)
 
 
-def _closed_verdict(provenance, report, r, g, notes=()) -> FinitenessVerdict:
+def _closed_verdict(provenance, report, r, g) -> FinitenessVerdict:
     """The verdict of a closed-surface report, cross-checked against the
-    closed-surface theorem: finite exactly when g = 1 or r = 3."""
-    verdict = _finiteness(report)
+    closed-surface rule: finite exactly when g = 1 or r = 3.
+
+    The rule is Funar's closed-surface result (L. Funar, On the TQFT
+    representations of the mapping class groups, Pacific J. Math. 188
+    (1999)), which the source paper re-derives from its sign criterion.
+    The g = 1 half is what the c = 0 one-holed-torus scan computes: every
+    ratio of the closed torus is the unit symbol.
+    """
     expected = Finiteness.FINITE if g == 1 or r == 3 else Finiteness.INFINITE
-    crosscheck = Crosscheck.AGREE if verdict is expected else Crosscheck.DISAGREE
-    return FinitenessVerdict(
-        verdict, provenance, report, crosscheck=crosscheck, notes=notes
-    )
+    return FinitenessVerdict(provenance, report, crosscheck=_crosscheck(report, expected))
 
 
 def decide_closed(p: int, g: int) -> FinitenessVerdict:
@@ -335,21 +312,12 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
         if not all(s.value.is_unit for s in steps):
             raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
-        report = _torus_report(level, f"closed torus, p={p}", 0)
-        return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
+        return _closed_verdict(Provenance.DIRECT_COMPUTATION, _torus_report(level, 0), r, g)
 
     if r == 3:
-        if p == 3:
-            # One admissible coloring only: the space is one dimensional.
-            report = PositivityReport(
-                level, f"closed genus {g}, p=3", {},
-                Positivity.COMPLETELY_POSITIVE, flags=("dimension-one",),
-            )
-        else:
-            ratios = [theta_norm_ratio(level, t) for t in admissible_triples(level)]
-            report = check_complete_positivity(
-                ratios, level, f"closed genus {g}, p=6 (theta colorings)"
-            )
+        # Every theta coloring; at p = 3 the only one is (0, 0, 0), the unit.
+        ratios = [theta_norm_ratio(level, t) for t in admissible_triples(level)]
+        report = check_complete_positivity(ratios, level)
         return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
     if r == 5:
@@ -362,29 +330,15 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
                 f"designated witness {triple.as_tuple()} at k={witness_k} "
                 f"is not negative at p={p}"
             )
-        note = (
-            "genus-2 theta witness"
-            if g == 2
-            else "genus-2 theta witness embedded by zero-coloring"
-        )
-        report = _report(
-            level, f"closed genus {g}, p={p}", [((witness_k, triple.as_tuple()), s)]
-        )
-        return _closed_verdict(
-            Provenance.CLOSED_SURFACE_RULE, report, r, g,
-            (note, f"ratio {ratio.value} negative at k={witness_k}"),
-        )
+        key = (witness_k, triple.as_tuple())
+        report = PositivityReport(level, {key: s}, key)
+        return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
     # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
     # the one-holed torus at c = 1 already fails complete positivity.
-    report = _torus_report(
-        level, f"closed genus {g}, p={p} (via one-holed torus c=1)", 1
-    )
+    report = _torus_report(level, 1)
     if report.witness is None:
         raise InvariantViolation(
             f"expected a negative one-holed-torus ratio at c=1 for p={p}"
         )
-    return _closed_verdict(
-        Provenance.CLOSED_SURFACE_RULE, report, r, g,
-        ("handle decomposition onto the c=1 one-holed torus",),
-    )
+    return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)

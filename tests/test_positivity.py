@@ -11,7 +11,7 @@ from rtfinite.positivity import (
     Finiteness,
     Positivity,
     Provenance,
-    _torus_sign_scan,
+    _torus_signs,
     _torus_witness,
     check_complete_positivity,
     decide_closed,
@@ -87,7 +87,6 @@ class TestDecideTorus:
         with pytest.raises(UsageError):
             decide_torus(7, 1, p_choice="r")
         verdict = decide_torus(7, 1, p_choice="r", experimental=True)
-        assert "experimental-odd-p" in verdict.notes
         assert verdict.crosscheck is Crosscheck.NOT_APPLICABLE
 
     def test_color_out_of_range(self):
@@ -96,11 +95,18 @@ class TestDecideTorus:
         with pytest.raises(UsageError):
             decide_torus(7, -1)
 
+    @pytest.mark.parametrize("p_choice", ["2r", "r"])
+    def test_no_admitted_color_has_dimension_below_two(self, p_choice):
+        # c = (r-1)/2 is the first color with r - 1 - 2c < 2, and is rejected
+        for r in primerange(3, 200):
+            with pytest.raises(UsageError):
+                decide_torus(r, (r - 1) // 2, p_choice, experimental=True)
+
     def test_scan_matches_symbolic_evaluation(self):
         # the incremental scan agrees with evaluating full cumulative symbols
         for r, c in ((7, 1), (11, 1), (13, 2)):
             level = LevelContext.at(2 * r)
-            sign_matrix, _ = _torus_sign_scan(level, c)
+            sign_matrix = dict(_torus_signs(level, c))
             for j in range(1, r - 1 - 2 * c):
                 value = lollipop_ratio_cumulative(level, c, j).value
                 for emb in embeddings(level):
@@ -118,7 +124,7 @@ class TestDecideTorus:
 
     def test_cumulative_multiplicativity(self):
         level = LevelContext.at(22)
-        sign_matrix, _ = _torus_sign_scan(level, 1)
+        sign_matrix = dict(_torus_signs(level, 1))
         for emb in embeddings(level):
             running = Sign.POSITIVE
             for j in range(1, 11 - 1 - 2):
@@ -139,7 +145,7 @@ class TestSignEngine:
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
             embs = embeddings(level)
             for c in range((r - 2) // 2 + 1):
-                sign_matrix, _ = _torus_sign_scan(level, c)
+                sign_matrix = dict(_torus_signs(level, c))
                 assert len(sign_matrix) == len(embs) * (r - 2 - 2 * c)
                 assert list(sign_matrix) == sorted(sign_matrix)
                 for j in range(1, r - 1 - 2 * c):
@@ -153,7 +159,8 @@ class TestSignEngine:
         for p_choice in ("2r", "r"):
             for c in range((r - 2) // 2 + 1):
                 report = decide_torus(r, c, p_choice, experimental=True).report
-                full, witness = _torus_sign_scan(report.level, c)
+                full = dict(_torus_signs(report.level, c))
+                witness = _torus_witness(report.level, c)
                 assert report.witness == witness == _first_negative(full)
                 entries = list(full.items())
                 if witness is not None:
@@ -199,7 +206,7 @@ class TestMaskWitness:
         assert verdict.verdict is Finiteness.FINITE
         assert closed.report.witness == (5, 1)
         report = verdict.report
-        assert report.sign_matrix == _torus_sign_scan(report.level, 0)[0]
+        assert report.sign_matrix == dict(_torus_signs(report.level, 0))
         assert len(report.sign_matrix) == len(embeddings(report.level)) * 95
         assert list(closed.report.sign_matrix)[-1] == closed.report.witness
 
@@ -323,6 +330,13 @@ class TestDecideClosed:
 
     def test_p3_finite(self):
         assert decide_closed(3, 5).verdict is Finiteness.FINITE
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_p3_report_holds_the_unit_coloring(self, g):
+        # the single theta coloring (0, 0, 0) at the single embedding k = 1
+        report = decide_closed(3, g).report
+        assert report.sign_matrix == {(1, 0): Sign.POSITIVE}
+        assert report.witness is None
 
     def test_handle_decomposition_for_large_r(self):
         verdict = decide_closed(14, 3)
