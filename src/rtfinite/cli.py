@@ -36,7 +36,7 @@ EXIT_IO = 4
 # Largest sizes a command line may ask for, so that one call runs for seconds,
 # not hours.  The slowest admitted call of each kind, on a 2-core machine:
 # decide-closed --p 3998 --g 1 and decide-torus --r 1999 --c 0 or 998 about
-# 1.4 s and 140 MB, verify-theorem --r-max 499 about 7 s, lattice-check --p 254
+# 0.9 s and 18 MB, verify-theorem --r-max 499 about 7 s, lattice-check --p 254
 # --samples 10000 about 14 s (README, "Limits").  The library itself takes any
 # size.
 MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p
@@ -66,42 +66,45 @@ class ReportRecord:
         return asdict(self)
 
 
-def _witness_dict(verdict: FinitenessVerdict) -> Optional[dict]:
+def _witness_dict(verdict: FinitenessVerdict, with_text: bool) -> Optional[dict]:
+    """The record's witness; its ratio_text is the ratio symbol when with_text
+    is set, and None otherwise (the csv format does not print it)."""
     report = verdict.report
     if report.witness is None:
         return None
     k, ratio_id = report.witness
     text = None
-    if isinstance(ratio_id, tuple):
+    if with_text and isinstance(ratio_id, tuple):
         from .bases import AdmissibleTriple, theta_norm_ratio
 
         text = str(theta_norm_ratio(report.level, AdmissibleTriple(*ratio_id)).value)
-    elif report.torus_c is not None:
+    elif with_text and report.torus_c is not None:
         text = str(lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id).value)
     return {"k": k, "ratio_index": ratio_id if isinstance(ratio_id, int) else list(ratio_id),
             "ratio_text": text}
 
 
-def _torus_record(r: int, c: int, p_choice: str, experimental: bool) -> ReportRecord:
+def _torus_record(r: int, c: int, p_choice: str, experimental: bool,
+                  with_text: bool) -> ReportRecord:
     verdict = decide_torus(r, c, p_choice, experimental)
     return ReportRecord(
         parameters={"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p},
         verdict=verdict.verdict.value,
         provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict),
+        witness=_witness_dict(verdict, with_text),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=r - 1 - 2 * c,
     )
 
 
-def _closed_record(p: int, g: int) -> ReportRecord:
+def _closed_record(p: int, g: int, with_text: bool) -> ReportRecord:
     verdict = decide_closed(p, g)
     return ReportRecord(
         parameters={"command": "decide-closed", "p": p, "g": g},
         verdict=verdict.verdict.value,
         provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict),
+        witness=_witness_dict(verdict, with_text),
         clause=verdict.clause,
         crosscheck=verdict.crosscheck.value,
         dimension=None,
@@ -115,9 +118,9 @@ def _timed(record, *args) -> ReportRecord:
     return replace(rec, timing_s=round(time.perf_counter() - start, 6))
 
 
-def _scan_prime(r: int) -> list[ReportRecord]:
+def _scan_prime(r: int, with_text: bool) -> list[ReportRecord]:
     """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
-    return [_torus_record(r, c, "2r", False) for c in range((r - 1) // 2)]
+    return [_torus_record(r, c, "2r", False, with_text) for c in range((r - 1) // 2)]
 
 
 def _render(records: list[ReportRecord], fmt: str) -> str:
@@ -164,14 +167,15 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_decide_torus(args) -> int:
     check_limit("r", args.r, MAX_LEVEL_R)
-    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.experimental_odd_p)
+    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.experimental_odd_p,
+                 args.format != "csv")
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_decide_closed(args) -> int:
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
-    rec = _timed(_closed_record, args.p, args.g)
+    rec = _timed(_closed_record, args.p, args.g, args.format != "csv")
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
@@ -189,15 +193,16 @@ def _cmd_scan(args) -> int:
     check_limit("--r-max", args.r_max, MAX_SWEEP_R)
     primes = list(primerange(5, args.r_max + 1))
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
+    with_text = [args.format != "csv"] * len(primes)
     if jobs > 1:
         # imported here: the pool machinery is most of the import time of a
         # single-process call
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_scan_prime, primes))
+            chunks = list(pool.map(_scan_prime, primes, with_text))
     else:
-        chunks = [_scan_prime(r) for r in primes]
+        chunks = list(map(_scan_prime, primes, with_text))
     # pool.map keeps the primes in order, and each chunk is in ascending c
     records = [rec for chunk in chunks for rec in chunk]
     _emit(_render(records, args.format), args.out)

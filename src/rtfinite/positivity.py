@@ -12,7 +12,7 @@ clauses of the one-holed-torus theorem.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .bases import (
@@ -136,18 +136,6 @@ def check_complete_positivity(
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-@lru_cache(maxsize=None)
-def _parity_bits(counts: tuple[int, ...]) -> int:
-    """The integer whose bit n is counts[n] mod 2.
-
-    Cached on the table's value, not on the (p, k) it was built for, so a
-    mask always matches the table the engine was given.
-    """
-    digits = bytes(map((1).__and__, counts)).translate(_BINARY_DIGITS)
-    return int(digits[::-1], 2)
 
 
 def _torus_masks(level: LevelContext, c: int):
@@ -156,27 +144,21 @@ def _torus_masks(level: LevelContext, c: int):
 
     The cumulative ratio telescopes to
         [2c+j+1]! [j]! [c+1]! [c]! / ([2c+1]! [c+j+1]! [c+j]!),
-    so with N the prefix counts of negative quantum integers at k
-    (qint_sign_values), its sign is the parity of
+    so with N(n) the number of negative [m], m <= n, at k, its sign is the
+    parity of
         N(2c+j+1) + N(j) - N(c+j+1) - N(c+j) + (N(c+1) + N(c) - N(2c+1)).
-    With B the integer whose bit n is N(n) mod 2, the first four terms are,
-    for every j at once, the bits of (B >> 2c+1) ^ B ^ (B >> c+1) ^ (B >> c);
-    the bracket does not depend on j and inverts all of them when odd.
-    For c = 0 the four shifts cancel and X is 0.  Every index is at most
-    r - 1, where no quantum integer vanishes.
+    With B the parity mask of N (qint_sign_values), the first four terms
+    are, for every j at once, the bits of (B >> 2c+1) ^ B ^ (B >> c+1) ^ (B >> c);
+    bit 0 of that is the bracket, as N(0) = 0, and when odd it inverts them
+    all.  For c = 0 the four shifts cancel and X is 0.  Every index is at
+    most r - 1, where no quantum integer vanishes.
     """
     r = level.r
     ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
     for k in embedding_ks(level.p):
-        n = qint_sign_values(level.p, k, r - 1)
-        if len(n) < r:
-            raise InvariantViolation(
-                f"[{len(n)}] vanishes at k={k}, p={level.p}, "
-                f"inside the lollipop range 1..{r - 1}"
-            )
-        b = _parity_bits(n)
+        b = qint_sign_values(level.p, k, r - 1)
         x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
-        if (n[c + 1] + n[c] - n[2 * c + 1]) & 1:
+        if x & 1:
             x = ~x
         yield k, x & ratios
 

@@ -10,7 +10,6 @@ evaluation at an embedding is exact and division-free.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
 
 from .cyclotomic import EmbeddingIndex, Sign, sin_sign
@@ -157,31 +156,38 @@ def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
 
 @lru_cache(maxsize=None)
 def _negative_residues(p: int, k_negative: bool) -> bytes:
-    """Byte x is 1 when [m] < 0 at k for m*k = x (mod p), 0 < x < p, 2x != p.
+    """Byte x is the digit 1 when [m] < 0 at k for m*k = x (mod p), 0 < x < p,
+    2x != p, and the digit 0 otherwise.
 
     [m] < 0 when sin(2 pi m k / p) and sin(2 pi k / p) differ in sign, and
     sin(2 pi x / p) < 0 exactly when p/2 < x < p.
     """
     half = p // 2 + 1  # residues 0 .. p//2, where sin(2 pi x / p) >= 0
-    low, high = (b"\1", b"\0") if k_negative else (b"\0", b"\1")
+    low, high = (b"1", b"0") if k_negative else (b"0", b"1")
     return low * half + high * (p - half)
 
 
 @lru_cache(maxsize=None)
-def qint_sign_values(p: int, k: int, n_max: int) -> tuple[int, ...]:
-    """Prefix counts N(n) = #{1 <= m <= n : [m] < 0 at k}, for 0 <= n <= n_max.
+def qint_sign_values(p: int, k: int, n_max: int) -> int:
+    """The parity mask at k: bit n is #{1 <= m <= n : [m] < 0} mod 2, n <= n_max.
 
-    A ratio of quantum factorials has the sign (-1)^(signed sum of N at its
-    indices) when no [m] in range vanishes, so the table stops before the
-    first [m] that vanishes at k: it is shorter than n_max + 1 exactly then.
+    A ratio of quantum factorials with no vanishing factor has the sign
+    (-1)^(signed sum of those counts at its indices).  Raises
+    InvariantViolation when some [m] with m <= n_max vanishes at k.
     """
     step = k % p
     # [m] vanishes when p divides 2mk, first at m = p / gcd(2k, p)
-    length = min(n_max, p // gcd(2 * step, p) - 1)
+    first_zero = p // gcd(2 * step, p)
+    if n_max >= first_zero:
+        raise InvariantViolation(f"[{first_zero}] vanishes at k={k}, p={p}, inside 1..{n_max}")
     negative = _negative_residues(p, 2 * step > p)
-    # m*k mod p for m = 1 .. length (an empty range when step = 0)
-    residues = map(p.__rmod__, range(step, step * (length + 1), step or 1))
-    return tuple(accumulate(map(negative.__getitem__, residues), initial=0))
+    # the digit of [m] < 0 at bit m, m = n_max down to 1, then bit 0 (step is 0
+    # only when n_max is 0); prefix XOR then makes bit n the parity of bits 1..n
+    residues = map(p.__rmod__, range(step * n_max, 0, -step or -1))
+    b = int(bytes(map(negative.__getitem__, residues)) + b"0", 2)
+    for i in range(n_max.bit_length()):
+        b ^= b << (1 << i)
+    return b & ((2 << n_max) - 1)
 
 
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:

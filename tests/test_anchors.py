@@ -1,7 +1,9 @@
-"""Regression anchors: the sha256 of the stdout of four reproduction runs.
+"""Regression anchors: the sha256 of the stdout of reproduction runs.
 
-The prefixes were recorded before the prefix-parity sign engine and must not
-move with any change that keeps verdicts, witnesses and report formats.
+The four sweep prefixes were recorded before the prefix-parity sign engine,
+and the three largest decisions the command line admits before the parity
+mask was built without count tables.  None may move with a change that keeps
+verdicts, witnesses and report formats.
 """
 
 import hashlib
@@ -17,10 +19,15 @@ ANCHORS = [
     (["scan", "--r-max", "199", "--format", "json", "--jobs", "1"], "95e37abad21c2744"),
     (["verify-theorem", "--r-max", "199"], "26cff9f805acf6a0"),
     (["scan", "--r-max", "499", "--format", "csv", "--jobs", "1"], "53986b89fbd0ded4"),
+    (["decide-torus", "--r", "1999", "--c", "0"], "7d2972570284cbad"),
+    (["decide-torus", "--r", "1999", "--c", "998"], "5e15986e62f18090"),
+    (["decide-closed", "--p", "3998", "--g", "1"], "abe35bc8ec091672"),
 ]
+IDS = ["scan-csv", "scan-json", "verify-theorem", "scan-499-csv",
+       "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1"]
 
 
-@pytest.mark.parametrize("argv,prefix", ANCHORS, ids=["scan-csv", "scan-json", "verify-theorem", "scan-499-csv"])
+@pytest.mark.parametrize("argv,prefix", ANCHORS, ids=IDS)
 def test_stdout_sha256(argv, prefix):
     buf = io.StringIO()
     with redirect_stdout(buf):

@@ -129,6 +129,17 @@ class TestScanCommand:
         ]
         assert len(rows) == 6
 
+    def test_csv_renders_no_witness_text(self, monkeypatch):
+        argv = ["scan", "--r-max", "23", "--format", "csv", "--jobs", "1"]
+        _, expected = run(argv)
+        assert ",infinite," in expected
+
+        def fail(*args):
+            raise AssertionError("witness text rendered for csv")
+
+        monkeypatch.setattr(cli, "lollipop_ratio_cumulative", fail)
+        assert run(argv) == (EXIT_OK, expected)
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "scan.json"
         code, out = run(
@@ -167,8 +178,9 @@ class TestScanWorkers:
 
 class TestInvariantViolation:
     def test_exit_code_and_one_line_message(self, monkeypatch, capsys):
-        # a sign table that stops early reports a vanishing quantum integer
-        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: (0, 0))
+        # the sign builder raises at k = 0 (mod p), where [1] vanishes
+        build = positivity.qint_sign_values
+        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: build(p, 0, n_max))
         code, out = run(["decide-torus", "--r", "7", "--c", "1"])
         assert code == EXIT_INVARIANT
         assert out == ""

@@ -170,10 +170,11 @@ class TestSignEngine:
 
 def _seven_term_witness(level, c):
     """First (k, j) with a negative cumulative ratio, one entry at a time from
-    the prefix counts: the per-entry parity rule the masks replace."""
+    the prefix-count parities: the per-entry parity rule the masks replace."""
     r = level.r
     for emb in embeddings(level):
-        n = qint_sign_values(level.p, emb.k, r - 1)
+        b = qint_sign_values(level.p, emb.k, r - 1)
+        n = [b >> i & 1 for i in range(r)]
         for j in range(1, r - 1 - 2 * c):
             parity = (n[2 * c + j + 1] - n[2 * c + 1] + n[j] - n[c + j + 1]
                       + n[c + 1] - n[c + j] + n[c])
@@ -191,9 +192,10 @@ class TestMaskWitness:
                     level.p, c)
 
     def test_parity_bits(self):
-        # bit n is counts[n] mod 2; the order is invisible in the witnesses,
-        # whose tables are symmetric: N(r-1-n) = N(r-1) - N(n)
-        assert positivity._parity_bits((0, 1, 1, 2, 3)) == 0b10110
+        # bit n is N(n) mod 2.  The order is invisible in the witnesses, whose
+        # tables are symmetric, N(r-1-n) = N(r-1) - N(n), but not below r - 1:
+        # at p = 14, k = 5 only [2] is negative among [1..4], so N = 0,0,1,1,1
+        assert qint_sign_values(14, 5, 4) == 0b11100
 
     def test_sign_matrix_is_built_on_first_access(self, monkeypatch):
         def fail(level, c):
@@ -239,14 +241,18 @@ class TestReportEntries:
 
 class TestInvariants:
     def test_vanishing_factor_in_range(self, monkeypatch):
-        # a table that stops early says some [m] <= r - 1 vanishes
-        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: (0, 0))
-        with pytest.raises(InvariantViolation):
+        # the builder itself raises at k = 0 (mod p), where [1] already vanishes
+        monkeypatch.setattr(
+            positivity, "qint_sign_values", lambda p, k, n_max: qint_sign_values(p, 0, n_max)
+        )
+        with pytest.raises(InvariantViolation, match=r"\[1\] vanishes"):
             decide_torus(7, 1)
 
     def test_handle_decomposition_without_witness(self, monkeypatch):
+        # every embedding read as the unitary one, k = 1 at p = 2r, where all
+        # [m] with m <= r - 1 are positive
         monkeypatch.setattr(
-            positivity, "qint_sign_values", lambda p, k, n_max: (0,) * (n_max + 1)
+            positivity, "qint_sign_values", lambda p, k, n_max: qint_sign_values(p, 1, n_max)
         )
         assert decide_torus(7, 1).verdict is Finiteness.FINITE
         with pytest.raises(InvariantViolation):

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
+import rtfinite
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
-from rtfinite.errors import DivisionByZeroQuantumInteger, UsageError
+from rtfinite.errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
 from rtfinite.quantum import (
     ONE,
     QuantumFactored,
@@ -108,23 +113,46 @@ class TestQintSign:
 class TestQintSignValues:
     @pytest.mark.parametrize("p", [5, 6, 7, 10, 14, 22, 26, 37, 74])
     def test_prefix_counts_of_negative_quantum_integers(self, p):
+        # bit n of the mask is the parity of the negatives among [1..n]
         r = p if p % 2 else p // 2
         for emb in embeddings(p):
-            table = qint_sign_values(p, emb.k, r - 1)
-            assert len(table) == r
+            mask = qint_sign_values(p, emb.k, r - 1)
+            assert mask >> r == 0
             negatives = [qint_sign(m, emb) is Sign.NEGATIVE for m in range(1, r)]
-            assert list(table) == [sum(negatives[:n]) for n in range(r)]
+            assert [mask >> n & 1 for n in range(r)] == [
+                sum(negatives[:n]) % 2 for n in range(r)]
 
     @pytest.mark.parametrize("p", [6, 10, 14, 22])
     def test_stops_before_the_first_vanishing_factor(self, p):
-        # [r] vanishes at every embedding of p = 2r
+        # [r] vanishes at every embedding of p = 2r: the builder raises
+        # exactly when n_max reaches it
         r = p // 2
         for emb in embeddings(p):
-            assert qint_sign_values(p, emb.k, p) == qint_sign_values(p, emb.k, r - 1)
+            qint_sign_values(p, emb.k, r - 1)
+            for n_max in (r, p):
+                with pytest.raises(InvariantViolation, match=rf"\[{r}\] vanishes"):
+                    qint_sign_values(p, emb.k, n_max)
+
+    def test_vanishing_factor_raises_under_optimize_flag(self):
+        src = str(Path(rtfinite.__file__).resolve().parents[1])
+        code = (
+            "from rtfinite.errors import InvariantViolation\n"
+            "from rtfinite.quantum import qint_sign_values\n"
+            "try:\n"
+            "    qint_sign_values(6, 1, 3)\n"  # [3] vanishes at p = 6
+            "except InvariantViolation:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "raised\n"
 
 
 def _loop_sign_values(p, k, n_max):
-    """qint_sign_values one residue at a time: the reference for the table."""
+    """Prefix counts of negative [m] at k, one residue at a time, stopping
+    before the first vanishing [m]: the reference for the parity mask."""
     k_negative = 2 * (k % p) > p
     counts = [0]
     x = 0
@@ -144,7 +172,13 @@ def test_sign_values_match_the_loop(p):
     build = qint_sign_values.__wrapped__  # uncached: the test visits every k
     for k in range(-1, p + 2):
         for n_max in (0, r - 1, p + 1):
-            assert build(p, k, n_max) == _loop_sign_values(p, k, n_max), (k, n_max)
+            counts = _loop_sign_values(p, k, n_max)
+            if len(counts) <= n_max:
+                with pytest.raises(InvariantViolation, match=rf"\[{len(counts)}\] vanishes"):
+                    build(p, k, n_max)
+            else:
+                mask = sum((n & 1) << i for i, n in enumerate(counts))
+                assert build(p, k, n_max) == mask, (k, n_max)
 
 
 def _merged_ratio(num, den):
