@@ -2,9 +2,9 @@
 reproduction, and machine-readable reports.
 
 Exit codes: 0 = completed, 2 = usage error, 3 = internal invariant
-violation (a cross-check disagreement in verify-theorem, or an
-InvariantViolation raised by the library), 4 = i/o error (an OSError,
-such as an --out path that cannot be written).
+violation (a cross-check disagreement in verify-theorem, an integrality
+failure in lattice-check, or an InvariantViolation raised by the library),
+4 = i/o error (an OSError, such as an --out path that cannot be written).
 """
 
 import argparse
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .bases import lollipop_ratio_cumulative
@@ -51,21 +50,6 @@ def check_limit(name: str, value: int, limit: int):
         raise UsageError(f"{name} = {value} is above the limit of {limit}")
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    parameters: dict
-    verdict: str
-    provenance: str
-    witness: Optional[dict]
-    clause: Optional[int]
-    crosscheck: str
-    dimension: Optional[int]
-    timing_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _witness_dict(verdict: FinitenessVerdict, with_text: bool) -> Optional[dict]:
     """The record's witness; its ratio_text is the ratio symbol when with_text
     is set, and None otherwise (the csv format does not print it)."""
@@ -84,49 +68,49 @@ def _witness_dict(verdict: FinitenessVerdict, with_text: bool) -> Optional[dict]
             "ratio_text": text}
 
 
-def _torus_record(r: int, c: int, p_choice: str, experimental: bool,
-                  with_text: bool) -> ReportRecord:
+def _record(parameters: dict, verdict: FinitenessVerdict, dimension: Optional[int],
+            with_text: bool) -> dict:
+    """The JSON object of one verdict; _timed stamps its timing_s."""
+    return {
+        "parameters": parameters,
+        "verdict": verdict.verdict.value,
+        "provenance": verdict.provenance.value,
+        "witness": _witness_dict(verdict, with_text),
+        "clause": verdict.clause,
+        "crosscheck": verdict.crosscheck.value,
+        "dimension": dimension,
+        "timing_s": 0.0,
+    }
+
+
+def _torus_record(r: int, c: int, p_choice: str, experimental: bool, with_text: bool) -> dict:
     verdict = decide_torus(r, c, p_choice, experimental)
-    return ReportRecord(
-        parameters={"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p},
-        verdict=verdict.verdict.value,
-        provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict, with_text),
-        clause=verdict.clause,
-        crosscheck=verdict.crosscheck.value,
-        dimension=r - 1 - 2 * c,
-    )
+    parameters = {"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p}
+    return _record(parameters, verdict, r - 1 - 2 * c, with_text)
 
 
-def _closed_record(p: int, g: int, with_text: bool) -> ReportRecord:
-    verdict = decide_closed(p, g)
-    return ReportRecord(
-        parameters={"command": "decide-closed", "p": p, "g": g},
-        verdict=verdict.verdict.value,
-        provenance=verdict.provenance.value,
-        witness=_witness_dict(verdict, with_text),
-        clause=verdict.clause,
-        crosscheck=verdict.crosscheck.value,
-        dimension=None,
-    )
+def _closed_record(p: int, g: int) -> dict:
+    return _record({"command": "decide-closed", "p": p, "g": g}, decide_closed(p, g), None, True)
 
 
-def _timed(record, *args) -> ReportRecord:
+def _timed(record, *args) -> dict:
     """record(*args), stamped with the wall time it took to decide and build."""
     start = time.perf_counter()
     rec = record(*args)
-    return replace(rec, timing_s=round(time.perf_counter() - start, 6))
+    rec["timing_s"] = round(time.perf_counter() - start, 6)
+    return rec
 
 
-def _scan_prime(r: int, with_text: bool) -> list[ReportRecord]:
+def _scan_prime(r: int, with_text: bool) -> list[dict]:
     """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
     return [_torus_record(r, c, "2r", False, with_text) for c in range((r - 1) // 2)]
 
 
-def _render(records: list[ReportRecord], fmt: str) -> str:
+def _render(records: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([rec.to_dict() for rec in records], indent=2) + "\n"
+        return json.dumps(records, indent=2) + "\n"
     if fmt == "csv":
+        # only the one-holed-torus commands offer csv; None prints as empty
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
@@ -134,26 +118,23 @@ def _render(records: list[ReportRecord], fmt: str) -> str:
              "clause", "crosscheck"]
         )
         for rec in records:
-            w = rec.witness or {}
+            params, w = rec["parameters"], rec["witness"] or {}
             writer.writerow([
-                rec.parameters.get("r", ""), rec.parameters.get("c", ""),
-                rec.dimension if rec.dimension is not None else "",
-                rec.verdict,
-                w.get("k", ""), w.get("ratio_index", ""),
-                rec.clause if rec.clause is not None else "",
-                rec.crosscheck,
+                params["r"], params["c"], rec["dimension"], rec["verdict"],
+                w.get("k"), w.get("ratio_index"), rec["clause"], rec["crosscheck"],
             ])
         return buf.getvalue()
     lines = []
     for rec in records:
-        params = " ".join(f"{k}={v}" for k, v in rec.parameters.items() if k != "command")
-        line = f"{rec.parameters['command']} {params}: {rec.verdict}"
-        if rec.clause is not None:
-            line += f" [clause {rec.clause}, crosscheck {rec.crosscheck}]"
-        if rec.witness:
-            line += f" witness k={rec.witness['k']} ratio={rec.witness['ratio_index']}"
-            if rec.witness.get("ratio_text"):
-                line += f" ({rec.witness['ratio_text']})"
+        params = " ".join(f"{k}={v}" for k, v in rec["parameters"].items() if k != "command")
+        line = f"{rec['parameters']['command']} {params}: {rec['verdict']}"
+        if rec["clause"] is not None:
+            line += f" [clause {rec['clause']}, crosscheck {rec['crosscheck']}]"
+        w = rec["witness"]
+        if w:
+            line += f" witness k={w['k']} ratio={w['ratio_index']}"
+            if w["ratio_text"]:
+                line += f" ({w['ratio_text']})"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -175,7 +156,7 @@ def _cmd_decide_torus(args) -> int:
 
 def _cmd_decide_closed(args) -> int:
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
-    rec = _timed(_closed_record, args.p, args.g, args.format != "csv")
+    rec = _timed(_closed_record, args.p, args.g)
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
@@ -228,12 +209,11 @@ def _cmd_verify_theorem(args) -> int:
     for r in primerange(5, args.r_max + 1):
         level = LevelContext.at(2 * r)
         for c in range((r - 1) // 2):
-            predicted = theorem_predicate(r, c)
-            if predicted is None:
+            if theorem_predicate(r, c) is None:
                 continue
-            clause, expected = predicted
             verdict = decide_torus(r, c)
-            ok = verdict.verdict is expected
+            clause = verdict.clause
+            ok = verdict.crosscheck is Crosscheck.AGREE
             per_clause[clause][0] += 1
             per_clause[clause][1] += ok
             if not ok:
@@ -314,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     def out_option(p):
         p.add_argument("--out", default=None, help="also write the report here")
 
-    def report_options(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    def report_options(p, formats=("json", "csv", "text")):
+        p.add_argument("--format", choices=formats, default="text")
         out_option(p)
 
     p = sub.add_parser("decide-torus", help="one-holed torus at (r, c)")
@@ -329,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide-closed", help="closed genus-g surface at level p")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    report_options(p)
+    report_options(p, ("json", "text"))
     p.set_defaults(func=_cmd_decide_closed)
 
     p = sub.add_parser("scan", help="all (r, c) with nonempty basis, r <= r-max")

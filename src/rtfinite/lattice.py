@@ -19,6 +19,10 @@ from .context import LevelContext, alpha  # noqa: F401  (alpha re-exported)
 from .cyclotomic import CyclotomicInteger, reduce, trace_table
 from .errors import UsageError
 
+# discreteness_certificate draws each coefficient uniformly from
+# [-COEFF_BOUND, COEFF_BOUND]
+COEFF_BOUND = 10
+
 
 def lattice_element(level: LevelContext, raw_coeffs) -> CyclotomicInteger:
     """The canonical residue of an integer coefficient vector in O_p."""
@@ -81,7 +85,7 @@ class DiscretenessReport:
 
 
 def discreteness_certificate(
-    level: LevelContext, sample_size: int, seed: int = 0, coeff_bound: int = 10
+    level: LevelContext, sample_size: int, seed: int = 0
 ) -> DiscretenessReport:
     """Sample random nonzero elements and certify phi(alpha_p) * norm^2 in Z >= 1.
 
@@ -97,7 +101,7 @@ def discreteness_certificate(
     min_norm = None
     drawn = 0
     while drawn < sample_size:
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(deg)]
+        coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(deg)]
         element = lattice_element(level, coeffs)
         if element.is_zero():
             continue

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from rtfinite.cli import (
     MAX_LEVEL_R,
     MAX_SAMPLES,
     MAX_SWEEP_R,
-    ReportRecord,
     check_limit,
     main,
     scan_workers,
@@ -36,20 +36,21 @@ def run(argv):
     return code, buf.getvalue()
 
 
+RECORD_KEYS = ["parameters", "verdict", "provenance", "witness", "clause",
+               "crosscheck", "dimension", "timing_s"]
+
+
 class TestReportRecord:
     def test_json_round_trip(self):
-        rec = ReportRecord(
-            parameters={"command": "decide-torus", "r": 7, "c": 1, "p": 14},
-            verdict="infinite",
-            provenance="direct-computation",
-            witness={"k": 5, "ratio_index": 1, "ratio_text": "[5][2]/([4][3])"},
-            clause=2,
-            crosscheck="agree",
-            dimension=4,
-            timing_s=0.0,
-        )
-        restored = ReportRecord(**json.loads(json.dumps(rec.to_dict())))
-        assert restored == rec
+        # one test id for both commands that print records
+        for argv in (["decide-torus", "--r", "7", "--c", "1"],
+                     ["decide-closed", "--p", "5", "--g", "2"]):
+            code, out = run([*argv, "--format", "json"])
+            assert code == EXIT_OK
+            [rec] = json.loads(out)
+            assert list(rec) == RECORD_KEYS
+            assert json.loads(json.dumps(rec)) == rec
+            assert json.dumps([rec], indent=2) + "\n" == out
 
 
 class TestDecideTorusCommand:
@@ -197,6 +198,37 @@ class TestVerifyTheoremCommand:
         assert "clause witnesses: all negative as claimed" in out
         assert "all agree" in out
 
+    def test_clause_disagreement_exits_3(self, monkeypatch):
+        predicate = positivity.theorem_predicate
+
+        def mispredict(r, c):
+            if (r, c) == (7, 1):
+                return (1, positivity.Finiteness.FINITE)
+            return predicate(r, c)
+
+        monkeypatch.setattr(positivity, "theorem_predicate", mispredict)
+        code, out = run(["verify-theorem", "--r-max", "11"])
+        assert code == EXIT_INVARIANT
+        assert "DISAGREE clause 1: r=7 c=1\n" in out
+        assert re.search(r"^clause 1: \d+ instances, \d+ agree, 1 disagree$", out, re.M)
+        assert "closed-surface table p in (3, 5, 6, 7, 10, 14) g in (1,2,3): all agree" in out
+
+    def test_closed_table_disagreement_exits_3(self, monkeypatch):
+        decide = cli.decide_closed
+
+        def disagree(p, g):
+            verdict = decide(p, g)
+            if (p, g) == (10, 2):
+                return replace(verdict, crosscheck=positivity.Crosscheck.DISAGREE)
+            return verdict
+
+        monkeypatch.setattr(cli, "decide_closed", disagree)
+        code, out = run(["verify-theorem", "--r-max", "11"])
+        assert code == EXIT_INVARIANT
+        assert "DISAGREE clause" not in out
+        assert "DISAGREE closed p=10 g=2\n" in out
+        assert out.endswith("g in (1,2,3): 1 disagreements\n")
+
 
 class TestLatticeCheckCommand:
     def test_passes(self):
@@ -234,17 +266,22 @@ VALID_ARGS = {
 }
 
 
+# Options, and an option value, that a command does not take.
+NOT_TAKEN = [
+    ("decide-torus", "--jobs", "1"), ("decide-torus", "--seed", "1"),
+    ("decide-closed", "--jobs", "1"), ("decide-closed", "--seed", "1"),
+    ("decide-closed", "--format", "csv"),
+    ("scan", "--seed", "1"),
+    ("verify-theorem", "--format", "text"), ("verify-theorem", "--jobs", "1"),
+    ("verify-theorem", "--seed", "1"),
+    ("lattice-check", "--format", "text"), ("lattice-check", "--jobs", "1"),
+]
+
+
 class TestOptions:
-    @pytest.mark.parametrize("command,option", [
-        ("decide-torus", "--jobs"), ("decide-torus", "--seed"),
-        ("decide-closed", "--jobs"), ("decide-closed", "--seed"),
-        ("scan", "--seed"),
-        ("verify-theorem", "--format"), ("verify-theorem", "--jobs"),
-        ("verify-theorem", "--seed"),
-        ("lattice-check", "--format"), ("lattice-check", "--jobs"),
-    ])
-    def test_ignored_option_is_a_usage_error(self, command, option, capsys):
-        value = "text" if option == "--format" else "1"
+    @pytest.mark.parametrize("command,option,value", NOT_TAKEN,
+                             ids=[f"{command}-{option}" for command, option, _ in NOT_TAKEN])
+    def test_ignored_option_is_a_usage_error(self, command, option, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, *VALID_ARGS[command], option, value])
         assert exc.value.code == EXIT_USAGE
