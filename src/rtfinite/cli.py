@@ -83,8 +83,8 @@ def _record(parameters: dict, verdict: FinitenessVerdict, dimension: Optional[in
     }
 
 
-def _torus_record(r: int, c: int, p_choice: str, experimental: bool, with_text: bool) -> dict:
-    verdict = decide_torus(r, c, p_choice, experimental)
+def _torus_record(r: int, c: int, p_choice: str, with_text: bool) -> dict:
+    verdict = decide_torus(r, c, p_choice)
     parameters = {"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p}
     return _record(parameters, verdict, r - 1 - 2 * c, with_text)
 
@@ -103,7 +103,7 @@ def _timed(record, *args) -> dict:
 
 def _scan_prime(r: int, with_text: bool) -> list[dict]:
     """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
-    return [_torus_record(r, c, "2r", False, with_text) for c in range((r - 1) // 2)]
+    return [_torus_record(r, c, "2r", with_text) for c in range((r - 1) // 2)]
 
 
 def _render(records: list[dict], fmt: str) -> str:
@@ -148,8 +148,10 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_decide_torus(args) -> int:
     check_limit("r", args.r, MAX_LEVEL_R)
-    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.experimental_odd_p,
-                 args.format != "csv")
+    if args.p_choice == "r" and args.format == "csv":
+        # a csv row has no p column to tell it from a p = 2r row
+        raise UsageError("--p-choice r prints json or text only, not csv")
+    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.format != "csv")
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
@@ -220,24 +222,16 @@ def _cmd_verify_theorem(args) -> int:
                 disagreements += 1
                 lines.append(f"DISAGREE clause {clause}: r={r} c={c}")
                 continue
+            if clause == 1:
+                continue  # a finite clause has no witness
             k = clause_witness_k(r, c, clause)
-            if clause in (2, 3) and k is not None:
-                s = eval_sign(
-                    lollipop_ratio_two_step(level, c, 0).value,
-                    EmbeddingIndex(k, 2 * r),
-                )
-                if s is not Sign.NEGATIVE:
-                    witness_misses.append((clause, r, c, k))
-            elif clause == 4:
-                if not any(
-                    eval_sign(
-                        lollipop_ratio_step(level, c, i).value,
-                        EmbeddingIndex(3, 2 * r),
-                    )
-                    is Sign.NEGATIVE
-                    for i in range(r - 3 - 2 * c + 1)
-                ):
-                    witness_misses.append((clause, r, c, 3))
+            if clause == 4:
+                ratios = (lollipop_ratio_step(level, c, i) for i in range(r - 2 - 2 * c))
+            else:
+                ratios = (lollipop_ratio_two_step(level, c, 0),)
+            emb = EmbeddingIndex(k, 2 * r)
+            if not any(eval_sign(x.value, emb) is Sign.NEGATIVE for x in ratios):
+                witness_misses.append((clause, r, c, k))
     for clause in sorted(per_clause):
         total, ok = per_clause[clause]
         lines.append(
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--p-choice", choices=("r", "2r"), default="2r")
-    p.add_argument("--experimental-odd-p", action="store_true")
     report_options(p)
     p.set_defaults(func=_cmd_decide_torus)
 

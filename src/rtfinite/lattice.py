@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .context import LevelContext, alpha  # noqa: F401  (alpha re-exported)
+from .context import LevelContext
 from .cyclotomic import CyclotomicInteger, reduce, trace_table
 from .errors import UsageError
 

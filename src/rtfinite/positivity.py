@@ -182,7 +182,8 @@ def _torus_signs(level: LevelContext, c: int):
 
 
 def theorem_predicate(r: int, c: int) -> Optional[tuple[int, Finiteness]]:
-    """First matching closed-form clause for the one-holed torus at p = 2r.
+    """First matching closed-form clause for the one-holed torus at p = 2r;
+    the clauses hold at p = r as well by level doubling (see decide_torus).
 
     Clauses, in order: (1) 2c = r-3 finite; (2) c = 1 (mod 3), r != 3, 5
     infinite; (3) the mod-5 residue classes, infinite; (4) 1 <= c and
@@ -229,35 +230,38 @@ def clause_witness_k(r: int, c: int, clause: int) -> Optional[int]:
     return None
 
 
-def decide_torus(r: int, c: int, p_choice: str = "2r", experimental: bool = False) -> FinitenessVerdict:
+def decide_torus(r: int, c: int, p_choice: str = "2r") -> FinitenessVerdict:
     """Decide finiteness for the one-holed torus with boundary color 2c.
 
     Direct computation: the witness is the first (k, j), in ascending k
     and then j, at which the cumulative relative norm <u_j>/<u_0> is
     negative; one parity mask per embedding decides every j at once.  When
-    p = 2r and a theorem clause applies, the clause's prediction is
-    cross-checked.
-    The p = r computations are exposed behind the experimental flag; the
-    theorem clauses address p = 2r only, so no cross-check applies there.
+    a theorem clause applies, the clause's prediction is cross-checked.
+
+    The clauses hold at p = r as at p = 2r by level doubling, the sign form
+    of the BHMV splitting of V_2r (Blanchet-Habegger-Masbaum-Vogel, Topology
+    34 (1995)): with k' = 2k + r (mod 2r), [m] at (2r, k') is (-1)^(m-1)
+    times [m] at (r, k), so [n]! picks up (-1)^T(n), T(n) = n(n-1)/2.  In
+    <u_j>/<u_0> these cancel, as
+        T(2c+j+1) + T(j) + T(c+1) + T(c) - T(2c+1) - T(c+j+1) - T(c+j) = 0
+    (the indices above and below the bar have equal sums and equal sums of
+    squares).  k -> k' maps the r - 1 embeddings at p = r onto the r - 1
+    canonical ones at p = 2r, and k and 2r - k give the same signs, so a
+    ratio is negative somewhere at p = r exactly when it is at p = 2r.
     """
-    if r < 3 or r % 2 == 0 or not isprime(r):
+    if r < 3 or not isprime(r):
         raise UsageError(f"r must be an odd prime, got {r}")
     if p_choice not in ("r", "2r"):
         raise UsageError(f"p_choice must be 'r' or '2r', got {p_choice!r}")
-    if p_choice == "r" and not experimental:
-        raise UsageError("p = r one-holed-torus computations are experimental; "
-                         "pass experimental=True to run them")
     level = LevelContext.at(r if p_choice == "r" else 2 * r)
     _check_lollipop_color(level, c)
     report = _torus_report(level, c)
-    clause = None
-    crosscheck = Crosscheck.NOT_APPLICABLE
-    if p_choice == "2r":
-        predicted = theorem_predicate(r, c)
-        if predicted is not None:
-            clause, expected = predicted
-            crosscheck = _crosscheck(report, expected)
-    return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report, clause, crosscheck)
+    predicted = theorem_predicate(r, c)
+    if predicted is None:
+        return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report)
+    clause, expected = predicted
+    return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report, clause,
+                             _crosscheck(report, expected))
 
 
 def _closed_verdict(provenance, report, r, g) -> FinitenessVerdict:

@@ -1,9 +1,11 @@
 """Regression anchors: the sha256 of the stdout of reproduction runs.
 
 The four sweep prefixes were recorded before the prefix-parity sign engine,
-and the three largest decisions the command line admits before the parity
-mask was built without count tables.  None may move with a change that keeps
-verdicts, witnesses and report formats.
+the three largest decisions the command line admits before the parity mask
+was built without count tables, and the largest p = r decision while p = r
+still needed an opt-in flag (no clause applies at c = 0, so no cross-check
+entered its record).  None may move with a change that keeps verdicts,
+witnesses and report formats.
 """
 
 import hashlib
@@ -22,9 +24,11 @@ ANCHORS = [
     (["decide-torus", "--r", "1999", "--c", "0"], "7d2972570284cbad"),
     (["decide-torus", "--r", "1999", "--c", "998"], "5e15986e62f18090"),
     (["decide-closed", "--p", "3998", "--g", "1"], "abe35bc8ec091672"),
+    (["decide-torus", "--r", "1999", "--c", "0", "--p-choice", "r"], "d2b316d40df2bb5c"),
 ]
 IDS = ["scan-csv", "scan-json", "verify-theorem", "scan-499-csv",
-       "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1"]
+       "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1",
+       "decide-torus-1999-c0-odd"]
 
 
 @pytest.mark.parametrize("argv,prefix", ANCHORS, ids=IDS)

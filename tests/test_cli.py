@@ -77,14 +77,22 @@ class TestDecideTorusCommand:
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
-    def test_odd_p_gated(self):
-        code, _ = run(["decide-torus", "--r", "7", "--c", "1", "--p-choice", "r"])
-        assert code == EXIT_USAGE
-        code, out = run(
-            ["decide-torus", "--r", "7", "--c", "1", "--p-choice", "r",
-             "--experimental-odd-p"]
-        )
+    def test_odd_p_is_cross_checked(self):
+        argv = ["decide-torus", "--r", "7", "--c", "1", "--p-choice", "r"]
+        code, out = run(argv)
         assert code == EXIT_OK
+        assert out == ("decide-torus r=7 c=1 p=7: infinite [clause 2, crosscheck agree] "
+                       "witness k=1 ratio=1 ([4]/([3][2]))\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--experimental-odd-p"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_odd_p_csv_usage_error(self, capsys):
+        code, out = run(["decide-torus", "--r", "7", "--c", "1", "--p-choice", "r",
+                         "--format", "csv"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "usage error: --p-choice r prints json or text only, not csv\n")
 
 
 class TestDecideClosedCommand:
@@ -229,6 +237,18 @@ class TestVerifyTheoremCommand:
         assert "DISAGREE closed p=10 g=2\n" in out
         assert out.endswith("g in (1,2,3): 1 disagreements\n")
 
+    def test_clause4_witness_k_is_the_designated_one(self, monkeypatch):
+        designated = positivity.clause_witness_k
+
+        def unitary_for_clause4(r, c, clause):
+            return 1 if clause == 4 else designated(r, c, clause)
+
+        monkeypatch.setattr(positivity, "clause_witness_k", unitary_for_clause4)
+        code, out = run(["verify-theorem", "--r-max", "13"])
+        assert code == EXIT_OK
+        # no ratio is negative at the unitary embedding k = 1
+        assert "clause-witness misses (reported, not failures): [(4, 13, 2, 1)]\n" in out
+
 
 class TestLatticeCheckCommand:
     def test_passes(self):
@@ -250,7 +270,7 @@ def test_invariant_exit_code_is_distinct():
 
 # The options each command reads, besides -h/--help.
 COMMAND_OPTIONS = {
-    "decide-torus": {"--r", "--c", "--p-choice", "--experimental-odd-p", "--format", "--out"},
+    "decide-torus": {"--r", "--c", "--p-choice", "--format", "--out"},
     "decide-closed": {"--p", "--g", "--format", "--out"},
     "scan": {"--r-max", "--format", "--out", "--jobs"},
     "verify-theorem": {"--r-max", "--out"},

@@ -4,13 +4,14 @@ from sympy import primerange
 from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
 from rtfinite import positivity
 from rtfinite.context import LevelContext
-from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
+from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.positivity import (
     Crosscheck,
     Finiteness,
     Positivity,
     Provenance,
+    _torus_masks,
     _torus_signs,
     _torus_witness,
     check_complete_positivity,
@@ -83,12 +84,6 @@ class TestDecideTorus:
         with pytest.raises(UsageError):
             decide_torus(9, 0)
 
-    def test_odd_p_needs_experimental_flag(self):
-        with pytest.raises(UsageError):
-            decide_torus(7, 1, p_choice="r")
-        verdict = decide_torus(7, 1, p_choice="r", experimental=True)
-        assert verdict.crosscheck is Crosscheck.NOT_APPLICABLE
-
     def test_color_out_of_range(self):
         with pytest.raises(UsageError):
             decide_torus(5, 2)  # 2c > r - 2
@@ -100,7 +95,7 @@ class TestDecideTorus:
         # c = (r-1)/2 is the first color with r - 1 - 2c < 2, and is rejected
         for r in primerange(3, 200):
             with pytest.raises(UsageError):
-                decide_torus(r, (r - 1) // 2, p_choice, experimental=True)
+                decide_torus(r, (r - 1) // 2, p_choice)
 
     def test_scan_matches_symbolic_evaluation(self):
         # the incremental scan agrees with evaluating full cumulative symbols
@@ -141,7 +136,7 @@ class TestSignEngine:
     @pytest.mark.parametrize("r", list(primerange(3, 40)))
     def test_full_matrix_matches_symbolic_signs(self, r):
         # prefix parity over quantum factorials vs the cumulative symbol,
-        # at p = 2r and at the experimental p = r
+        # at p = 2r and at p = r
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
             embs = embeddings(level)
             for c in range((r - 2) // 2 + 1):
@@ -158,7 +153,7 @@ class TestSignEngine:
     def test_early_exit_stops_at_first_negative_of_full_matrix(self, r):
         for p_choice in ("2r", "r"):
             for c in range((r - 2) // 2 + 1):
-                report = decide_torus(r, c, p_choice, experimental=True).report
+                report = decide_torus(r, c, p_choice).report
                 full = dict(_torus_signs(report.level, c))
                 witness = _torus_witness(report.level, c)
                 assert report.witness == witness == _first_negative(full)
@@ -300,6 +295,41 @@ class TestTheoremPredicate:
                 assert verdict.crosscheck is Crosscheck.AGREE, (r, c, verdict.clause)
 
 
+class TestLevelDoubling:
+    """With k' = 2k + r (mod 2r), [m] at (2r, k') is (-1)^(m-1) times [m] at
+    (r, k); the signs cancel in every <u_j>/<u_0>."""
+
+    @pytest.mark.parametrize("r", list(primerange(3, 60)))
+    def test_sign_entries(self, r):
+        canonical = list(embedding_ks(r))
+        images = [(2 * k + r) % (2 * r) for k in canonical]
+        images += [(2 * (2 * r - k) + r) % (2 * r) for k in canonical]
+        assert sorted(images) == list(embedding_ks(2 * r))
+        for c in range((r - 1) // 2):
+            doubled = dict(_torus_signs(LevelContext.at(2 * r), c))
+            for (k, j), s in _torus_signs(LevelContext.at(r), c):
+                # k and its conjugate 2r - k have the same signs at p = r
+                for k_odd in (k, 2 * r - k):
+                    assert doubled[((2 * k_odd + r) % (2 * r), j)] is s, (r, c, k_odd, j)
+
+    @pytest.mark.parametrize("r", list(primerange(3, 200)))
+    def test_verdicts(self, r):
+        for c in range((r - 1) // 2):
+            odd, even = decide_torus(r, c, "r"), decide_torus(r, c)
+            assert (odd.verdict, odd.clause) == (even.verdict, even.clause), (r, c)
+            if odd.clause is not None:
+                assert odd.crosscheck is Crosscheck.AGREE, (r, c)
+
+    @pytest.mark.parametrize("r", list(primerange(3, 200)))
+    def test_unitary_embedding_has_no_negative_entry(self, r):
+        # k = 1 at p = 2r; at p = r its preimage, the odd one of (r +- 1)/2
+        [k_odd] = [k for k in ((r - 1) // 2, (r + 1) // 2) if k % 2]
+        for p, k_unitary in ((2 * r, 1), (r, k_odd)):
+            for c in range((r - 1) // 2):
+                masks = dict(_torus_masks(LevelContext.at(p), c))
+                assert masks[k_unitary] == 0, (p, c)
+
+
 class TestDecideClosed:
     def test_genus1_finite(self):
         verdict = decide_closed(10, 1)
@@ -317,7 +347,7 @@ class TestDecideClosed:
     @pytest.mark.parametrize("r", [3, 5, 7, 11, 13, 97])
     def test_genus1_signs_are_the_c0_torus_signs(self, r):
         even = decide_torus(r, 0).report.sign_matrix
-        odd = decide_torus(r, 0, p_choice="r", experimental=True).report.sign_matrix
+        odd = decide_torus(r, 0, p_choice="r").report.sign_matrix
         assert decide_closed(2 * r, 1).report.sign_matrix == even
         assert decide_closed(r, 1).report.sign_matrix == odd
 
