@@ -5,6 +5,8 @@ Exit codes: 0 = completed, 2 = usage error, 3 = internal invariant
 violation (a cross-check disagreement in verify-theorem, an integrality
 failure in lattice-check, or an InvariantViolation raised by the library),
 4 = i/o error (an OSError, such as an --out path that cannot be written).
+scan writes each level's records as soon as they are decided, so exit 3
+(or 4) can follow part of its report on stdout.
 """
 
 import argparse
@@ -14,6 +16,8 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from itertools import chain
 from typing import Optional
 
 from .bases import lollipop_ratio_cumulative
@@ -34,8 +38,8 @@ EXIT_IO = 4
 
 # Largest sizes a command line may ask for, so that one call runs for seconds,
 # not hours.  The slowest admitted call of each kind, on a 2-core machine:
-# decide-closed --p 3998 --g 1 and decide-torus --r 1999 --c 0 or 998 about
-# 0.9 s and 18 MB, verify-theorem --r-max 499 about 7 s, lattice-check --p 254
+# decide-torus --r 1999 --c 997 about 0.4 s and 17 MB (c = 0 and c = 998 about
+# 0.1 s), verify-theorem --r-max 499 about 6 s, lattice-check --p 254
 # --samples 10000 about 14 s (README, "Limits").  The library itself takes any
 # size.
 MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p
@@ -106,13 +110,21 @@ def _scan_prime(r: int, with_text: bool) -> list[dict]:
     return [_torus_record(r, c, "2r", with_text) for c in range((r - 1) // 2)]
 
 
-def _render(records: list[dict], fmt: str) -> str:
+def _write_report(records, fmt: str, out):
+    """Write the report of records to out as the iterable yields them, so
+    that a record need not be held once it is written."""
     if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
+        # json.dumps(records, indent=2), one record at a time: no string in a
+        # record holds a raw newline, so indenting each line indents the record
+        sep = "[\n"
+        for rec in records:
+            out.write(sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  "))
+            sep = ",\n"
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
+        return
     if fmt == "csv":
         # only the one-holed-torus commands offer csv; None prints as empty
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["r", "c", "dimension", "verdict", "witness_k", "witness_index",
              "clause", "crosscheck"]
@@ -123,8 +135,7 @@ def _render(records: list[dict], fmt: str) -> str:
                 params["r"], params["c"], rec["dimension"], rec["verdict"],
                 w.get("k"), w.get("ratio_index"), rec["clause"], rec["crosscheck"],
             ])
-        return buf.getvalue()
-    lines = []
+        return
     for rec in records:
         params = " ".join(f"{k}={v}" for k, v in rec["parameters"].items() if k != "command")
         line = f"{rec['parameters']['command']} {params}: {rec['verdict']}"
@@ -135,15 +146,40 @@ def _render(records: list[dict], fmt: str) -> str:
             line += f" witness k={w['k']} ratio={w['ratio_index']}"
             if w["ratio_text"]:
                 line += f" ({w['ratio_text']})"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        out.write(line + "\n")
+
+
+def _render(records: list[dict], fmt: str) -> str:
+    buf = io.StringIO()
+    _write_report(records, fmt, buf)
+    return buf.getvalue()
+
+
+class _Tee:
+    """Writes each piece to every file it holds, in order."""
+
+    def __init__(self, *files):
+        self.files = files
+
+    def write(self, text: str):
+        for fh in self.files:
+            fh.write(text)
+
+
+@contextmanager
+def _output(out: Optional[str]):
+    """stdout, and with --out that file as well, which is opened here: a path
+    that cannot be written raises OSError before anything is written."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        yield _Tee(fh, sys.stdout)
 
 
 def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    with _output(out) as sink:
+        sink.write(text)
 
 
 def _cmd_decide_torus(args) -> int:
@@ -177,18 +213,20 @@ def _cmd_scan(args) -> int:
     primes = list(primerange(5, args.r_max + 1))
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
     with_text = [args.format != "csv"] * len(primes)
-    if jobs > 1:
-        # imported here: the pool machinery is most of the import time of a
-        # single-process call
-        from concurrent.futures import ProcessPoolExecutor
+    # each level's records are written as soon as it is decided: pool.map and
+    # map keep the primes in order, and each level's records are in ascending c
+    with _output(args.out) as sink:
+        if jobs > 1:
+            # imported here: the pool machinery is most of the import time of
+            # a single-process call
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_scan_prime, primes, with_text))
-    else:
-        chunks = list(map(_scan_prime, primes, with_text))
-    # pool.map keeps the primes in order, and each chunk is in ascending c
-    records = [rec for chunk in chunks for rec in chunk]
-    _emit(_render(records, args.format), args.out)
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                levels = pool.map(_scan_prime, primes, with_text)
+                _write_report(chain.from_iterable(levels), args.format, sink)
+        else:
+            levels = map(_scan_prime, primes, with_text)
+            _write_report(chain.from_iterable(levels), args.format, sink)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ clauses of the one-holed-torus theorem.
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .bases import (
@@ -26,7 +26,7 @@ from .bases import (
 from .context import LevelContext, isprime
 from .cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from .errors import InvariantViolation, UsageError
-from .quantum import eval_sign, qint_sign_values
+from .quantum import eval_sign, qint_product_negative, qint_sign_values
 
 
 class Positivity(enum.Enum):
@@ -150,17 +150,31 @@ def _torus_masks(level: LevelContext, c: int):
     With B the parity mask of N (qint_sign_values), the first four terms
     are, for every j at once, the bits of (B >> 2c+1) ^ B ^ (B >> c+1) ^ (B >> c);
     bit 0 of that is the bracket, as N(0) = 0, and when odd it inverts them
-    all.  For c = 0 the four shifts cancel and X is 0.  Every index is at
-    most r - 1, where no quantum integer vanishes.
+    all.  Every index is at most r - 1, where no quantum integer vanishes.
+
+    Two shapes have an X that needs no B:
+    - c = 0: the shifts are (B >> 1) ^ B ^ (B >> 1) ^ B = 0, bit 0 included,
+      so X = 0 at every k (every ratio of the closed torus is 1);
+    - one ratio, 2c = r - 3: with d(m) = 1 when [m] < 0 at k, so that
+      B(m) ^ B(m-1) = d(m), bit 1 of X after the bit-0 inversion is
+      d(2c+2) ^ d(1) ^ d(c+2) ^ d(c+1), the sign of the step ratio
+      [2c+2][1]/([c+2][c+1]); [1] = 1, so it is the sign of the product
+      [2c+2][c+2][c+1] (qint_product_negative).
     """
-    r = level.r
-    ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
-    for k in embedding_ks(level.p):
-        b = qint_sign_values(level.p, k, r - 1)
-        x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
-        if x & 1:
-            x = ~x
-        yield k, x & ratios
+    p, r = level.p, level.r
+    if c == 0:
+        yield from ((k, 0) for k in embedding_ks(p))
+    elif 2 * c == r - 3:
+        factors = (2 * c + 2, c + 2, c + 1)
+        yield from ((k, qint_product_negative(p, k, factors) << 1) for k in embedding_ks(p))
+    else:
+        ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
+        for k in embedding_ks(p):
+            b = qint_sign_values(p, k, r - 1)
+            x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
+            if x & 1:
+                x = ~x
+            yield k, x & ratios
 
 
 def _torus_witness(level: LevelContext, c: int) -> Optional[tuple[int, int]]:
@@ -230,6 +244,17 @@ def clause_witness_k(r: int, c: int, clause: int) -> Optional[int]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _torus_level(r: int, p_choice: str) -> LevelContext:
+    """The level of decide_torus, with r and p_choice checked once per level
+    rather than once per color."""
+    if r < 3 or not isprime(r):
+        raise UsageError(f"r must be an odd prime, got {r}")
+    if p_choice not in ("r", "2r"):
+        raise UsageError(f"p_choice must be 'r' or '2r', got {p_choice!r}")
+    return LevelContext.at(r if p_choice == "r" else 2 * r)
+
+
 def decide_torus(r: int, c: int, p_choice: str = "2r") -> FinitenessVerdict:
     """Decide finiteness for the one-holed torus with boundary color 2c.
 
@@ -249,11 +274,7 @@ def decide_torus(r: int, c: int, p_choice: str = "2r") -> FinitenessVerdict:
     canonical ones at p = 2r, and k and 2r - k give the same signs, so a
     ratio is negative somewhere at p = r exactly when it is at p = 2r.
     """
-    if r < 3 or not isprime(r):
-        raise UsageError(f"r must be an odd prime, got {r}")
-    if p_choice not in ("r", "2r"):
-        raise UsageError(f"p_choice must be 'r' or '2r', got {p_choice!r}")
-    level = LevelContext.at(r if p_choice == "r" else 2 * r)
+    level = _torus_level(r, p_choice)
     _check_lollipop_color(level, c)
     report = _torus_report(level, c)
     predicted = theorem_predicate(r, c)

@@ -167,6 +167,18 @@ def _negative_residues(p: int, k_negative: bool) -> bytes:
     return low * half + high * (p - half)
 
 
+def qint_product_negative(p: int, k: int, ms) -> int:
+    """1 when the product of the [m], m in ms, is negative at k, and 0 when it
+    is positive: the parity of #{m in ms : [m] < 0}, one lookup per m in the
+    residue table of _negative_residues.  No [m] may vanish at k: m*k must not
+    be 0 or p/2 (mod p).
+    """
+    step = k % p
+    negative = _negative_residues(p, 2 * step > p)
+    # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
+    return sum(negative[m * step % p] for m in ms) & 1
+
+
 @lru_cache(maxsize=None)
 def qint_sign_values(p: int, k: int, n_max: int) -> int:
     """The parity mask at k: bit n is #{1 <= m <= n : [m] < 0} mod 2, n <= n_max.

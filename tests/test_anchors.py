@@ -4,7 +4,9 @@ The four sweep prefixes were recorded before the prefix-parity sign engine,
 the three largest decisions the command line admits before the parity mask
 was built without count tables, and the largest p = r decision while p = r
 still needed an opt-in flag (no clause applies at c = 0, so no cross-check
-entered its record).  None may move with a change that keeps verdicts,
+entered its record).  The last three were recorded while the scan still
+rendered its whole report at once and the one-ratio color 2c = r - 3 was
+still read off parity masks.  None may move with a change that keeps verdicts,
 witnesses and report formats.
 """
 
@@ -25,10 +27,14 @@ ANCHORS = [
     (["decide-torus", "--r", "1999", "--c", "998"], "5e15986e62f18090"),
     (["decide-closed", "--p", "3998", "--g", "1"], "abe35bc8ec091672"),
     (["decide-torus", "--r", "1999", "--c", "0", "--p-choice", "r"], "d2b316d40df2bb5c"),
+    (["scan", "--r-max", "499", "--format", "json", "--jobs", "1"], "b044b312f7b67bc5"),
+    (["scan", "--r-max", "499", "--format", "text", "--jobs", "1"], "aaff71a22276d2eb"),
+    (["decide-torus", "--r", "1999", "--c", "998", "--p-choice", "r"], "f08c30f22bb9d2e2"),
 ]
 IDS = ["scan-csv", "scan-json", "verify-theorem", "scan-499-csv",
        "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1",
-       "decide-torus-1999-c0-odd"]
+       "decide-torus-1999-c0-odd", "scan-499-json", "scan-499-text",
+       "decide-torus-1999-c998-odd"]
 
 
 @pytest.mark.parametrize("argv,prefix", ANCHORS, ids=IDS)

@@ -26,7 +26,7 @@ from rtfinite.cli import (
     main,
     scan_workers,
 )
-from rtfinite.errors import UsageError
+from rtfinite.errors import InvariantViolation, UsageError
 
 
 def run(argv):
@@ -383,3 +383,41 @@ class TestSizeLimits:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "above the limit" in err
         assert err.count("\n") == 1
+
+
+class TestScanStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_streamed_output_is_the_whole_report(self, fmt, jobs):
+        code, out = run(["scan", "--r-max", "37", "--format", fmt, "--jobs", jobs])
+        assert code == EXIT_OK
+        primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+        records = [rec for r in primes for rec in cli._scan_prime(r, fmt != "csv")]
+        assert out == cli._render(records, fmt)
+        if fmt == "json":
+            assert out == json.dumps(records, indent=2) + "\n"
+
+    def test_unwritable_out_path_exits_before_any_level(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("a level was decided")
+
+        monkeypatch.setattr(cli, "_scan_prime", fail)
+        target = tmp_path / "missing" / "scan.csv"
+        code, out = run(["scan", "--r-max", "7", "--format", "csv", "--jobs", "1",
+                         "--out", str(target)])
+        assert code == EXIT_IO
+        assert out == ""
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    def test_levels_before_an_invariant_violation_are_written(self, monkeypatch):
+        scan_prime = cli._scan_prime
+
+        def fail_at_11(r, with_text):
+            if r == 11:
+                raise InvariantViolation("level 11")
+            return scan_prime(r, with_text)
+
+        monkeypatch.setattr(cli, "_scan_prime", fail_at_11)
+        code, out = run(["scan", "--r-max", "13", "--format", "csv", "--jobs", "1"])
+        assert code == EXIT_INVARIANT
+        assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["5"] * 2 + ["7"] * 3

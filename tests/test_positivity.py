@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from sympy import primerange
 
 from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
 from rtfinite import positivity
-from rtfinite.context import LevelContext
+from rtfinite.context import LevelContext, isprime
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.positivity import (
@@ -395,3 +397,70 @@ class TestDecideClosed:
         verdict = decide_closed(p, g)
         assert verdict.verdict is expected
         assert verdict.crosscheck is Crosscheck.AGREE
+
+
+def _general_masks(level, c):
+    """The (k, X) of the general parity-mask path, for any c: the reference
+    the two shapes that need no mask are checked against."""
+    r = level.r
+    ratios = (1 << (r - 1 - 2 * c)) - 2
+    masks = []
+    for k in embedding_ks(level.p):
+        b = qint_sign_values.__wrapped__(level.p, k, r - 1)
+        x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
+        masks.append((k, (~x if x & 1 else x) & ratios))
+    return masks
+
+
+class TestMasklessShapes:
+    """c = 0 and the one ratio of 2c = r - 3 are read without a parity mask."""
+
+    @pytest.mark.parametrize("r", list(primerange(3, 400)))
+    def test_equal_the_general_masks(self, r):
+        for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+            for c in {0, (r - 3) // 2}:
+                assert list(_torus_masks(level, c)) == _general_masks(level, c), (level.p, c)
+
+    @pytest.mark.parametrize("decide,args", [
+        (decide_torus, (1999, 998)),
+        (decide_torus, (1999, 998, "r")),
+        (decide_torus, (1999, 0)),
+        (decide_closed, (3998, 1)),
+    ])
+    def test_build_no_mask(self, decide, args):
+        qint_sign_values.cache_clear()
+        assert decide(*args).verdict is Finiteness.FINITE
+        assert qint_sign_values.cache_info().misses == 0
+
+    @pytest.mark.parametrize("r", list(primerange(5, 300)))
+    def test_one_ratio_matches_the_float_sines(self, r):
+        c = (r - 3) // 2
+        for p in (2 * r, r):
+            for k, x in _torus_masks(LevelContext.at(p), c):
+                def q(n):
+                    return math.sin(2 * math.pi * n * k / p) / math.sin(2 * math.pi * k / p)
+
+                negative = q(2 * c + 2) / (q(c + 2) * q(c + 1)) < 0
+                assert x == (2 if negative else 0), (p, k)
+
+
+class TestTorusLevel:
+    def test_checked_once_per_level(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(positivity, "isprime", lambda n: calls.append(n) or isprime(n))
+        positivity._torus_level.cache_clear()
+        for c in range(10):
+            decide_torus(23, c)
+            decide_torus(23, c, "r")
+        assert calls == [23, 23]
+
+    @pytest.mark.parametrize("args,message", [
+        ((9, 1), "r must be an odd prime, got 9"),
+        ((2, 0), "r must be an odd prime, got 2"),
+        ((7, 1, "3r"), "p_choice must be 'r' or '2r', got '3r'"),
+    ])
+    def test_usage_errors_every_call(self, args, message):
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(UsageError) as exc:
+                decide_torus(*args)
+            assert str(exc.value) == message
