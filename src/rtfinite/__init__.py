@@ -1,30 +1,14 @@
 """Exact-arithmetic finiteness decisions for quantum representations of
 mapping class groups at levels p = r and p = 2r, r an odd prime.
 
-The public surface re-exports the main types and deciders; see the
-submodules for the full API.
+The package exports the deciders and the types they take and return;
+everything else is in the submodules.
 """
 
-from .bases import (
-    AdmissibleTriple,
-    GramRatio,
-    admissible_triples,
-    lollipop_ratio_step,
-    lollipop_ratio_two_step,
-    theta_norm_ratio,
-)
-from .context import LevelContext, alpha
-from .cyclotomic import (
-    CyclotomicInteger,
-    EmbeddingIndex,
-    Sign,
-    cyclotomic_polynomial,
-    embeddings,
-    reduce,
-    sin_sign,
-)
-from .errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
-from .lattice import discreteness_certificate, lattice_element, naive_norm_formula, psi_norm_sq
+from .context import LevelContext
+from .cyclotomic import Sign
+from .errors import InvariantViolation, UsageError
+from .lattice import DiscretenessReport, discreteness_certificate
 from .positivity import (
     Crosscheck,
     Finiteness,
@@ -32,20 +16,10 @@ from .positivity import (
     Positivity,
     PositivityReport,
     Provenance,
-    check_complete_positivity,
+    clause_witness_k,
     decide_closed,
     decide_torus,
-    clause_witness_k,
     theorem_predicate,
-)
-from .quantum import (
-    QuantumFactored,
-    bracket_color,
-    eval_sign,
-    qfactorial,
-    qint,
-    qint_sign,
-    theta_symbol,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from itertools import product
 
 from .context import LevelContext
 from .errors import UsageError
-from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, qint, theta_symbol
+from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, theta_symbol
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def lollipop_ratio_step(level: LevelContext, c: int, i: int) -> GramRatio:
     _check_lollipop_color(level, c)
     if not 0 <= i <= level.r - 3 - 2 * c:
         raise UsageError(f"step index i = {i} out of range for r = {level.r}, c = {c}")
-    value = (qint(2 * c + i + 2) * qint(i + 1)) / (qint(c + i + 2) * qint(c + i + 1))
-    return GramRatio(value)
+    factors = ((2 * c + i + 2, 1), (i + 1, 1), (c + i + 2, -1), (c + i + 1, -1))
+    return GramRatio(QuantumFactored.from_factors(1, factors))
 
 
 def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
@@ -76,9 +76,9 @@ def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
         raise UsageError(
             f"two-step index i = {i} out of range for r = {level.r}, c = {c}"
         )
-    num = qint(2 * c + i + 3) * qint(2 * c + i + 2) * qint(i + 2) * qint(i + 1)
-    den = qint(c + i + 1) * qint(c + i + 3) * qint(c + i + 2) ** 2
-    return GramRatio(num / den)
+    factors = ((2 * c + i + 3, 1), (2 * c + i + 2, 1), (i + 2, 1), (i + 1, 1),
+               (c + i + 1, -1), (c + i + 3, -1), (c + i + 2, -2))
+    return GramRatio(QuantumFactored.from_factors(1, factors))
 
 
 def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:

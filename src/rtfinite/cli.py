@@ -39,7 +39,7 @@ EXIT_IO = 4
 # Largest sizes a command line may ask for, so that one call runs for seconds,
 # not hours.  The slowest admitted call of each kind, on a 2-core machine:
 # decide-torus --r 1999 --c 997 about 0.4 s and 17 MB (c = 0 and c = 998 about
-# 0.1 s), verify-theorem --r-max 499 about 6 s, lattice-check --p 254
+# 0.1 s), verify-theorem --r-max 499 about 4 s, lattice-check --p 254
 # --samples 10000 about 14 s (README, "Limits").  The library itself takes any
 # size.
 MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p

@@ -11,9 +11,9 @@ clauses of the one-holed-torus theorem.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bases import (
     AdmissibleTriple,
@@ -55,17 +55,16 @@ class PositivityReport:
     """Witness and the sign entries that lead to it.
 
     The witness is the first (embedding k, ratio id) in scan order at which
-    a ratio is negative, or None; the verdict is read off it.  sign_matrix
-    maps (k, ratio id) to a Sign in scan order (ascending k, then ratio):
-    every entry when there is no witness, otherwise the entries up to and
-    including the witness.  A report of the one-holed-torus scan at color
-    torus_c finds its witness without evaluating entries one by one, and
-    builds sign_matrix from the sign engine on first access; any other
-    report holds it in entries.
+    a ratio is negative, or None; the verdict is read off it.  entries()
+    yields every ((k, ratio id), Sign) in scan order (ascending k, then
+    ratio).  sign_matrix maps the keys to their signs, built from entries()
+    on first access: every entry when there is no witness, otherwise the
+    entries up to and including the witness.  torus_c is the color of a
+    one-holed-torus report, whose ratio ids are lollipop indices j.
     """
 
     level: LevelContext
-    entries: dict
+    entries: Callable[[], Iterable[tuple[tuple, Sign]]] = field(compare=False)
     witness: Optional[tuple] = None
     torus_c: Optional[int] = None
 
@@ -77,9 +76,12 @@ class PositivityReport:
 
     @cached_property
     def sign_matrix(self) -> dict:
-        if self.torus_c is None:
-            return self.entries
-        return _scan_to_witness(_torus_signs(self.level, self.torus_c))[0]
+        sign_matrix = {}
+        for key, s in self.entries():
+            sign_matrix[key] = s
+            if s is Sign.NEGATIVE:
+                break
+        return sign_matrix
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,10 @@ def _crosscheck(report: PositivityReport, expected: Finiteness) -> Crosscheck:
     return Crosscheck.DISAGREE
 
 
-def _scan_to_witness(entries) -> tuple[dict, Optional[tuple]]:
-    """Record (key, sign) entries up to and including the first negative
-    one, which is returned as the witness (None if no entry is negative)."""
-    sign_matrix = {}
-    for key, s in entries:
-        sign_matrix[key] = s
-        if s is Sign.NEGATIVE:
-            return sign_matrix, key
-    return sign_matrix, None
-
-
 def _torus_report(level: LevelContext, c: int) -> PositivityReport:
-    return PositivityReport(level, {}, _torus_witness(level, c), torus_c=c)
+    # a lambda, so that _torus_signs is looked up when the matrix is built
+    return PositivityReport(level, lambda: _torus_signs(level, c), _torus_witness(level, c),
+                            torus_c=c)
 
 
 def check_complete_positivity(
@@ -127,12 +120,13 @@ def check_complete_positivity(
     Negative entry is the witness and ends the scan.  Zero entries are
     recorded as such; they never occur for admissible data.
     """
-    entries = (
-        ((emb.k, idx), eval_sign(ratio.value, emb))
-        for emb in embeddings(level)
-        for idx, ratio in enumerate(ratios)
-    )
-    return PositivityReport(level, *_scan_to_witness(entries))
+    def entries():
+        for emb in embeddings(level):
+            for idx, ratio in enumerate(ratios):
+                yield (emb.k, idx), eval_sign(ratio.value, emb)
+
+    witness = next((key for key, s in entries() if s is Sign.NEGATIVE), None)
+    return PositivityReport(level, entries, witness)
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
@@ -338,7 +332,7 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
                 f"is not negative at p={p}"
             )
         key = (witness_k, triple.as_tuple())
-        report = PositivityReport(level, {key: s}, key)
+        report = PositivityReport(level, lambda: [(key, s)], key)
         return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
     # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);

@@ -179,13 +179,18 @@ def qint_product_negative(p: int, k: int, ms) -> int:
     return sum(negative[m * step % p] for m in ms) & 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def qint_sign_values(p: int, k: int, n_max: int) -> int:
     """The parity mask at k: bit n is #{1 <= m <= n : [m] < 0} mod 2, n <= n_max.
 
     A ratio of quantum factorials with no vanishing factor has the sign
     (-1)^(signed sum of those counts at its indices).  Raises
     InvariantViolation when some [m] with m <= n_max vanishes at k.
+
+    The cache holds the masks of every embedding of one level up to
+    r = 4097 (p = 2r has r - 1 of them).  Past that, the least recently
+    used masks are dropped: colors whose witness comes late build theirs
+    again, and no verdict changes.
     """
     step = k % p
     # [m] vanishes when p divides 2mk, first at m = p / gcd(2k, p)

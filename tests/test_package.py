@@ -1,0 +1,66 @@
+"""The package's surface: what it exports, what it asserts, and the names the
+traced benchmark wraps."""
+
+import ast
+import importlib.util
+import types
+from pathlib import Path
+
+import rtfinite
+from rtfinite import bases, cli, context, cyclotomic, lattice, positivity, quantum
+from rtfinite.context import LevelContext
+from rtfinite.cyclotomic import CyclotomicInteger
+
+PACKAGE_DIR = Path(rtfinite.__file__).resolve().parent
+PERFBENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
+
+# the deciders and the types they take and return
+DECISION_NAMES = {
+    "decide_torus", "decide_closed", "discreteness_certificate", "DiscretenessReport",
+    "theorem_predicate", "clause_witness_k",
+    "FinitenessVerdict", "PositivityReport",
+    "Finiteness", "Positivity", "Crosscheck", "Provenance", "Sign",
+    "LevelContext", "UsageError", "InvariantViolation",
+}
+
+
+def test_package_exports_only_the_decision_names():
+    public = {
+        name for name, value in vars(rtfinite).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == DECISION_NAMES
+
+
+def test_no_assert_statements_in_the_package():
+    # every invariant must survive python -O, which strips assert statements
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_the_traced_benchmark_wraps_and_restores_the_program(monkeypatch):
+    # install() raises when a name it wraps is gone, or when a module that
+    # imported it by name holds a different object
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    spec = importlib.util.spec_from_file_location("perfbench_replay", PERFBENCH_DIR / "replay.py")
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+
+    owners = (bases, cli, context, cyclotomic, lattice, positivity, quantum,
+              LevelContext, CyclotomicInteger)
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    main = cli.main
+    tracer = replay.Tracer()
+    try:
+        replay.install(tracer)
+        assert cli.main is not main
+    finally:
+        tracer.restore()
+    for owner, attrs in before:
+        assert dict(vars(owner)).keys() == attrs.keys()
+        assert all(vars(owner)[name] is value for name, value in attrs.items()), owner

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import pytest
 from sympy import primerange
@@ -442,6 +443,25 @@ class TestMasklessShapes:
 
                 negative = q(2 * c + 2) / (q(c + 2) * q(c + 1)) < 0
                 assert x == (2 if negative else 0), (p, k)
+
+
+class TestMaskCache:
+    def test_bounded_cache_keeps_the_verdicts(self, monkeypatch):
+        # two passes over levels whose masks outnumber the cache: the second
+        # pass builds again the masks the first one evicted
+        pairs = [(r, c) for r in primerange(300, 500) for c in range((r - 1) // 2)] * 2
+
+        def witnesses():
+            return [decide_torus(r, c).report.witness for r, c in pairs]
+
+        qint_sign_values.cache_clear()
+        bounded = witnesses()
+        info = qint_sign_values.cache_info()
+        unbounded = lru_cache(maxsize=None)(qint_sign_values.__wrapped__)
+        monkeypatch.setattr(positivity, "qint_sign_values", unbounded)
+        assert witnesses() == bounded
+        assert info.currsize <= info.maxsize
+        assert info.misses > unbounded.cache_info().misses
 
 
 class TestTorusLevel:
