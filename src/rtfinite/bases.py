@@ -37,8 +37,7 @@ def is_admissible(level: LevelContext, a: int, b: int, c: int) -> bool:
         return False
     if (a + b + c) % 2 or abs(a - b) > c or c > a + b:
         return False
-    bound = 2 * level.r - 4 if level.is_even_level else 2 * level.p - 4
-    return a + b + c <= bound
+    return a + b + c <= 2 * level.r - 4  # at p = r, 2p - 4 is the same bound
 
 
 def admissible_triples(level: LevelContext) -> list[AdmissibleTriple]:

@@ -6,7 +6,8 @@ Python integers, so no overflow handling is needed.  The field trace
 reads a cached per-order table of Ramanujan sums.  The module also
 provides the Galois embedding bookkeeping (EmbeddingIndex) and the pure
 integer sign function sin_sign that underlies every exact sign
-evaluation in the package.
+evaluation in the package: quantum reads the sign of [n] as sin_sign at
+the folded step of the embedding, directly or through its residue table.
 """
 
 import cmath
@@ -194,6 +195,11 @@ class EmbeddingIndex:
     yields identical signs for every real quantity, so only canonical ones
     are enumerated.  Non-canonical k are still accepted (used to check
     conjugation invariance directly).
+
+    A quantum integer [m] = sin(2 pi m k / p) / sin(2 pi k / p) depends only
+    on k mod p and takes the same value at k and p - k, where both sines
+    change sign; so its sign is read at the folded step
+    s = min(k mod p, -k mod p), where sin(2 pi s / p) > 0.
     """
 
     k: int

@@ -145,26 +145,16 @@ def qfactorial_ratio(num, den) -> QuantumFactored:
     return QuantumFactored(1, tuple(factors))
 
 
-def qint_sign(n: int, emb: EmbeddingIndex) -> Sign:
-    """Exact sign of [n] at A = exp(i*pi*k/p)."""
-    if n < 1:
-        raise UsageError(f"qint_sign needs n >= 1, got {n}")
-    # sign of sin(2 pi n k / p) / sin(2 pi k / p); the denominator never
-    # vanishes for a valid embedding, so dividing is multiplying.
-    return sin_sign(n * emb.k, emb.p) * sin_sign(emb.k, emb.p)
-
-
 @lru_cache(maxsize=None)
-def _negative_residues(p: int, k_negative: bool) -> bytes:
-    """Byte x is the digit 1 when [m] < 0 at k for m*k = x (mod p), 0 < x < p,
-    2x != p, and the digit 0 otherwise.
+def _negative_residues(p: int) -> bytes:
+    """Byte x is the digit 1 when sin(2 pi x / p) < 0 (sin_sign), 0 <= x < p,
+    and the digit 0 otherwise.
 
-    [m] < 0 when sin(2 pi m k / p) and sin(2 pi k / p) differ in sign, and
-    sin(2 pi x / p) < 0 exactly when p/2 < x < p.
+    [m] at k is [m] at the folded step s = min(k mod p, -k mod p), since both
+    sines of sin(2 pi m k / p) / sin(2 pi k / p) change sign under k -> -k, and
+    sin(2 pi s / p) > 0; so [m] < 0 at k exactly when digit m*s mod p is 1.
     """
-    half = p // 2 + 1  # residues 0 .. p//2, where sin(2 pi x / p) >= 0
-    low, high = (b"1", b"0") if k_negative else (b"0", b"1")
-    return low * half + high * (p - half)
+    return bytes(b"01"[sin_sign(x, p) is Sign.NEGATIVE] for x in range(p))
 
 
 def qint_product_negative(p: int, k: int, ms) -> int:
@@ -173,8 +163,8 @@ def qint_product_negative(p: int, k: int, ms) -> int:
     residue table of _negative_residues.  No [m] may vanish at k: m*k must not
     be 0 or p/2 (mod p).
     """
-    step = k % p
-    negative = _negative_residues(p, 2 * step > p)
+    step = min(k % p, -k % p)
+    negative = _negative_residues(p)
     # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
     return sum(negative[m * step % p] for m in ms) & 1
 
@@ -192,12 +182,12 @@ def qint_sign_values(p: int, k: int, n_max: int) -> int:
     used masks are dropped: colors whose witness comes late build theirs
     again, and no verdict changes.
     """
-    step = k % p
+    step = min(k % p, -k % p)
     # [m] vanishes when p divides 2mk, first at m = p / gcd(2k, p)
     first_zero = p // gcd(2 * step, p)
     if n_max >= first_zero:
         raise InvariantViolation(f"[{first_zero}] vanishes at k={k}, p={p}, inside 1..{n_max}")
-    negative = _negative_residues(p, 2 * step > p)
+    negative = _negative_residues(p)
     # the digit of [m] < 0 at bit m, m = n_max down to 1, then bit 0 (step is 0
     # only when n_max is 0); prefix XOR then makes bit n the parity of bits 1..n
     residues = map(p.__rmod__, range(step * n_max, 0, -step or -1))
@@ -210,14 +200,17 @@ def qint_sign_values(p: int, k: int, n_max: int) -> int:
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
     """Sign of a factored symbol at an embedding.
 
-    Raises DivisionByZeroQuantumInteger if a denominator factor vanishes.
+    The sign of [n] is sin_sign(n*s, p) at the folded step s of
+    _negative_residues.  Raises DivisionByZeroQuantumInteger if a
+    denominator factor vanishes.
     """
     if x.is_zero:
         return Sign.ZERO
     result = Sign.POSITIVE if x.unit > 0 else Sign.NEGATIVE
+    step = min(emb.k % emb.p, -emb.k % emb.p)
     zero_in_numerator = False
     for n, e in x.factors:
-        s = qint_sign(n, emb)
+        s = sin_sign(n * step, emb.p)
         if s is Sign.ZERO:
             if e < 0:
                 raise DivisionByZeroQuantumInteger(

@@ -166,6 +166,12 @@ class TestAdmissibleTriples:
         triples = [t.as_tuple() for t in admissible_triples(LevelContext.at(10))]
         assert triples == sorted(triples)
 
+    @pytest.mark.parametrize("r", list(primerange(5, 60)))
+    def test_largest_sum_is_2r_minus_4_at_both_levels(self, r):
+        for p in (r, 2 * r):
+            triples = admissible_triples(LevelContext.at(p))
+            assert max(sum(t.as_tuple()) for t in triples) == 2 * r - 4, p
+
 
 class TestThetaNormRatio:
     def test_base_vector(self):

@@ -64,3 +64,20 @@ def test_the_traced_benchmark_wraps_and_restores_the_program(monkeypatch):
     for owner, attrs in before:
         assert dict(vars(owner)).keys() == attrs.keys()
         assert all(vars(owner)[name] is value for name, value in attrs.items()), owner
+
+
+def test_no_unused_module_level_imports():
+    # __init__.py imports only to re-export, so it is left out
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

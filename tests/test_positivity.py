@@ -23,7 +23,7 @@ from rtfinite.positivity import (
     clause_witness_k,
     theorem_predicate,
 )
-from rtfinite.quantum import eval_sign, qint_sign_values
+from rtfinite.quantum import _negative_residues, eval_sign, qint_sign_values
 
 
 class TestCheckCompletePositivity:
@@ -432,6 +432,13 @@ class TestMasklessShapes:
         qint_sign_values.cache_clear()
         assert decide(*args).verdict is Finiteness.FINITE
         assert qint_sign_values.cache_info().misses == 0
+
+    @pytest.mark.parametrize("r", [5, 7, 11, 97, 1999])
+    def test_one_residue_table_per_level(self, r):
+        for p_choice in ("2r", "r"):
+            _negative_residues.cache_clear()
+            decide_torus(r, (r - 3) // 2, p_choice)
+            assert _negative_residues.cache_info().currsize == 1, p_choice
 
     @pytest.mark.parametrize("r", list(primerange(5, 300)))
     def test_one_ratio_matches_the_float_sines(self, r):

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 import rtfinite
-from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
+from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
 from rtfinite.errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
 from rtfinite.quantum import (
     ONE,
     QuantumFactored,
+    _negative_residues,
     bracket_color,
     eval_sign,
     qfactorial,
     qfactorial_ratio,
     qint,
-    qint_sign,
     qint_sign_values,
     theta_symbol,
 )
@@ -70,16 +70,16 @@ class TestQuantumFactored:
 class TestQintSign:
     def test_known_anchor_p5(self):
         # [4] is negative at A = exp(3 i pi / 5)
-        assert qint_sign(4, EmbeddingIndex(3, 5)) is Sign.NEGATIVE
+        assert eval_sign(qint(4), EmbeddingIndex(3, 5)) is Sign.NEGATIVE
 
     def test_known_anchor_p10(self):
         # [3] is negative at A = exp(3 i pi / 10)
-        assert qint_sign(3, EmbeddingIndex(3, 10)) is Sign.NEGATIVE
+        assert eval_sign(qint(3), EmbeddingIndex(3, 10)) is Sign.NEGATIVE
 
     @pytest.mark.parametrize("p", [5, 7, 10, 14, 22])
     def test_one_always_positive(self, p):
         for emb in embeddings(p):
-            assert qint_sign(1, emb) is Sign.POSITIVE
+            assert eval_sign(qint(1), emb) is Sign.POSITIVE
 
     @pytest.mark.parametrize("p", [5, 6, 7, 10, 14, 22, 26])
     def test_matches_float(self, p):
@@ -88,14 +88,14 @@ class TestQintSign:
                 value = float_qint(n, emb)
                 if abs(value) > 1e-9:
                     expected = Sign.POSITIVE if value > 0 else Sign.NEGATIVE
-                    assert qint_sign(n, emb) is expected, (n, emb)
+                    assert eval_sign(qint(n), emb) is expected, (n, emb)
 
     @pytest.mark.parametrize("p", [6, 10, 14, 22])
     def test_zero_iff_r_divides(self, p):
         r = p // 2
         for emb in embeddings(p):
             for n in range(1, p):
-                assert (qint_sign(n, emb) is Sign.ZERO) == (n % r == 0)
+                assert (eval_sign(qint(n), emb) is Sign.ZERO) == (n % r == 0)
 
     @pytest.mark.parametrize("p", [5, 10, 14])
     def test_reflection_symmetry(self, p):
@@ -107,7 +107,7 @@ class TestQintSign:
                 for m, value in ((n, a), (p - n, b)):
                     if abs(value) > 1e-9:
                         expected = Sign.POSITIVE if value > 0 else Sign.NEGATIVE
-                        assert qint_sign(m, emb) is expected
+                        assert eval_sign(qint(m), emb) is expected
 
 
 class TestQintSignValues:
@@ -118,7 +118,7 @@ class TestQintSignValues:
         for emb in embeddings(p):
             mask = qint_sign_values(p, emb.k, r - 1)
             assert mask >> r == 0
-            negatives = [qint_sign(m, emb) is Sign.NEGATIVE for m in range(1, r)]
+            negatives = [eval_sign(qint(m), emb) is Sign.NEGATIVE for m in range(1, r)]
             assert [mask >> n & 1 for n in range(r)] == [
                 sum(negatives[:n]) % 2 for n in range(r)]
 
@@ -150,6 +150,25 @@ class TestQintSignValues:
         assert out.stdout == "raised\n"
 
 
+LEVELS = [q for r in primerange(3, 201) for q in (r, 2 * r) if q <= 400]
+
+
+@pytest.mark.parametrize("p", LEVELS)
+def test_residue_table_marks_the_negative_sines(p):
+    table = _negative_residues(p)
+    assert len(table) == p
+    assert [d == ord("1") for d in table] == [
+        sin_sign(x, p) is Sign.NEGATIVE for x in range(p)]
+
+
+@pytest.mark.parametrize("r", list(primerange(3, 200)))
+def test_masks_agree_at_k_and_minus_k(r):
+    # [m] at k equals [m] at p - k: both sines change sign
+    p = 2 * r
+    for emb in embeddings(p):
+        assert qint_sign_values(p, emb.k, r - 1) == qint_sign_values(p, p - emb.k, r - 1), emb.k
+
+
 def _loop_sign_values(p, k, n_max):
     """Prefix counts of negative [m] at k, one residue at a time, stopping
     before the first vanishing [m]: the reference for the parity mask."""
@@ -164,9 +183,7 @@ def _loop_sign_values(p, k, n_max):
     return tuple(counts)
 
 
-@pytest.mark.parametrize(
-    "p", [q for r in primerange(3, 201) for q in (r, 2 * r) if q <= 400]
-)
+@pytest.mark.parametrize("p", LEVELS)
 def test_sign_values_match_the_loop(p):
     r = p if p % 2 else p // 2
     build = qint_sign_values.__wrapped__  # uncached: the test visits every k
