@@ -37,11 +37,8 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 # Largest sizes a command line may ask for, so that one call runs for seconds,
-# not hours.  The slowest admitted call of each kind, on a 2-core machine:
-# decide-torus --r 1999 --c 997 about 0.4 s and 17 MB (c = 0 and c = 998 about
-# 0.1 s), verify-theorem --r-max 499 about 4 s, lattice-check --p 254
-# --samples 10000 about 14 s (README, "Limits").  The library itself takes any
-# size.
+# not hours; README "Limits" gives the time and memory of the slowest admitted
+# call of each kind.  The library itself takes any size.
 MAX_LEVEL_R = 2000  # r of decide-torus --r and of decide-closed --p
 MAX_SWEEP_R = 500  # scan and verify-theorem --r-max
 MAX_LATTICE_PHI = 256  # phi(alpha_p) of lattice-check --p
@@ -262,7 +259,7 @@ def _cmd_verify_theorem(args) -> int:
                 continue
             if clause == 1:
                 continue  # a finite clause has no witness
-            k = clause_witness_k(r, c, clause)
+            k = clause_witness_k(r, clause)
             if clause == 4:
                 ratios = (lollipop_ratio_step(level, c, i) for i in range(r - 2 - 2 * c))
             else:

@@ -1,16 +1,9 @@
-"""Exceptions shared across the package."""
+"""The package's two failure classes, one per CLI exit code: UsageError
+exits 2 and InvariantViolation exits 3."""
 
 
 class UsageError(ValueError):
     """A caller violated a documented precondition (bad level, color, index...)."""
-
-
-class DivisionByZeroQuantumInteger(ArithmeticError):
-    """A quantum integer in a denominator vanishes at the requested embedding.
-
-    This signals a degenerate color outside the admissible range; it never
-    happens for ratios built from admissible data.
-    """
 
 
 class InvariantViolation(RuntimeError):

@@ -4,10 +4,9 @@ The embedding into the product of Galois conjugates has a discrete
 image because the averaged square norm of any element is an integer
 divided by phi(alpha_p).  The exact trace Tr(P * conjugate(P)), taken as
 the integer quadratic form sum c_i c_j Tr(A^(i-j)) over the canonical
-coefficients, is the ground truth for that norm; the literal closed form displayed alongside the
-integrality statement (sum of squared coefficients, with a correction at
-p = 2r) is
-computed separately purely so the two can be compared.
+coefficients, is the ground truth for that norm; the literal closed form
+displayed alongside the integrality statement (the sum of squared canonical
+coefficients) is computed separately purely so the two can be compared.
 """
 
 import random
@@ -54,22 +53,17 @@ def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> Fraction:
     return Fraction(table[0] * sum(map(mul, coeffs, coeffs)) + 2 * shifted, level.phi_alpha)
 
 
-def naive_norm_formula(element: CyclotomicInteger, level: LevelContext) -> Fraction:
+def naive_norm_formula(element: CyclotomicInteger) -> Fraction:
     """The literal displayed closed form, from the canonical coefficients.
 
-    sum(n_i^2) when p is prime, minus 2 * sum over |i-j| = 2r of n_i n_j
-    when p = 2r.  This is documentation, not ground truth: the display
-    omits cross terms that the exact trace produces (none of which
-    affect the integrality that discreteness rests on).
+    On canonical coefficients it is sum(n_i^2) at both levels: the p = 2r
+    correction, minus 2 * sum over |i-j| = 2r of n_i n_j, pairs indices 2r
+    apart, and alpha_p = 4r leaves only phi(4r) = 2r - 2 coefficients.  This
+    is documentation, not ground truth: the display omits cross terms that
+    the exact trace produces (none of which affect the integrality that
+    discreteness rests on).
     """
-    coeffs = element.coeffs
-    total = sum(c * c for c in coeffs)
-    if level.is_even_level:
-        d = 2 * level.r
-        total -= 2 * sum(
-            coeffs[i] * coeffs[i + d] for i in range(len(coeffs) - d)
-        )
-    return Fraction(total)
+    return Fraction(sum(c * c for c in element.coeffs))
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ def discreteness_certificate(
             passes += 1
         else:
             failures += 1
-        if naive_norm_formula(element, level) == norm:
+        if naive_norm_formula(element) == norm:
             agree += 1
         else:
             disagree += 1

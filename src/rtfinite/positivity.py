@@ -164,7 +164,7 @@ def _torus_masks(level: LevelContext, c: int):
     else:
         ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
         for k in embedding_ks(p):
-            b = qint_sign_values(p, k, r - 1)
+            b = qint_sign_values(p, k)
             x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
             if x & 1:
                 x = ~x
@@ -214,7 +214,7 @@ def theorem_predicate(r: int, c: int) -> Optional[tuple[int, Finiteness]]:
     return None
 
 
-def clause_witness_k(r: int, c: int, clause: int) -> Optional[int]:
+def clause_witness_k(r: int, clause: int) -> Optional[int]:
     """The designated witness embedding index for a clause.
 
     Clause 2 uses k = (2r+1)/3 or (2r-1)/3 depending on r mod 3, clause 3

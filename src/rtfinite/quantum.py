@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import EmbeddingIndex, Sign, sin_sign
-from .errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
+from .errors import InvariantViolation, UsageError
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class QuantumFactored:
 
     def inverse(self) -> "QuantumFactored":
         if self.is_zero:
-            raise DivisionByZeroQuantumInteger("cannot invert the zero symbol")
+            raise UsageError("cannot invert the zero symbol")
         return QuantumFactored.from_factors(
             self.unit, ((n, -e) for n, e in self.factors)
         )
@@ -72,7 +72,7 @@ class QuantumFactored:
     def __pow__(self, e: int) -> "QuantumFactored":
         if self.is_zero:
             if e <= 0:
-                raise DivisionByZeroQuantumInteger("zero symbol to a nonpositive power")
+                raise UsageError("zero symbol to a nonpositive power")
             return self
         return QuantumFactored.from_factors(
             self.unit if e % 2 else 1, ((n, k * e) for n, k in self.factors)
@@ -170,27 +170,30 @@ def qint_product_negative(p: int, k: int, ms) -> int:
 
 
 @lru_cache(maxsize=4096)
-def qint_sign_values(p: int, k: int, n_max: int) -> int:
-    """The parity mask at k: bit n is #{1 <= m <= n : [m] < 0} mod 2, n <= n_max.
+def qint_sign_values(p: int, k: int) -> int:
+    """The parity mask at k: bit n is #{1 <= m <= n : [m] < 0} mod 2, n < r,
+    where r is p for odd p and p/2 for even p.
 
     A ratio of quantum factorials with no vanishing factor has the sign
     (-1)^(signed sum of those counts at its indices).  Raises
-    InvariantViolation when some [m] with m <= n_max vanishes at k.
+    InvariantViolation when r divides k, the only k where some [m], m < r,
+    vanishes.
 
     The cache holds the masks of every embedding of one level up to
     r = 4097 (p = 2r has r - 1 of them).  Past that, the least recently
     used masks are dropped: colors whose witness comes late build theirs
     again, and no verdict changes.
     """
+    n_max = (p if p % 2 else p // 2) - 1
     step = min(k % p, -k % p)
     # [m] vanishes when p divides 2mk, first at m = p / gcd(2k, p)
     first_zero = p // gcd(2 * step, p)
     if n_max >= first_zero:
         raise InvariantViolation(f"[{first_zero}] vanishes at k={k}, p={p}, inside 1..{n_max}")
     negative = _negative_residues(p)
-    # the digit of [m] < 0 at bit m, m = n_max down to 1, then bit 0 (step is 0
-    # only when n_max is 0); prefix XOR then makes bit n the parity of bits 1..n
-    residues = map(p.__rmod__, range(step * n_max, 0, -step or -1))
+    # the digit of [m] < 0 at bit m, m = n_max down to 1, then bit 0; prefix
+    # XOR then makes bit n the parity of bits 1..n
+    residues = map(p.__rmod__, range(step * n_max, 0, -step))
     b = int(bytes(map(negative.__getitem__, residues)) + b"0", 2)
     for i in range(n_max.bit_length()):
         b ^= b << (1 << i)
@@ -201,8 +204,8 @@ def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
     """Sign of a factored symbol at an embedding.
 
     The sign of [n] is sin_sign(n*s, p) at the folded step s of
-    _negative_residues.  Raises DivisionByZeroQuantumInteger if a
-    denominator factor vanishes.
+    _negative_residues.  Raises InvariantViolation if a denominator factor
+    vanishes, which ratios built from admissible data never do.
     """
     if x.is_zero:
         return Sign.ZERO
@@ -213,8 +216,8 @@ def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
         s = sin_sign(n * step, emb.p)
         if s is Sign.ZERO:
             if e < 0:
-                raise DivisionByZeroQuantumInteger(
-                    f"[{n}] vanishes at k={emb.k}, p={emb.p}"
+                raise InvariantViolation(
+                    f"[{n}] vanishes at k={emb.k}, p={emb.p}, in a denominator"
                 )
             zero_in_numerator = True
         elif e % 2:

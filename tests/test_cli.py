@@ -13,6 +13,7 @@ import pytest
 
 import rtfinite
 from rtfinite import cli, positivity
+from rtfinite.bases import GramRatio
 from rtfinite.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -27,6 +28,7 @@ from rtfinite.cli import (
     scan_workers,
 )
 from rtfinite.errors import InvariantViolation, UsageError
+from rtfinite.quantum import qint
 
 
 def run(argv):
@@ -189,13 +191,24 @@ class TestInvariantViolation:
     def test_exit_code_and_one_line_message(self, monkeypatch, capsys):
         # the sign builder raises at k = 0 (mod p), where [1] vanishes
         build = positivity.qint_sign_values
-        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k, n_max: build(p, 0, n_max))
+        monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k: build(p, 0))
         code, out = run(["decide-torus", "--r", "7", "--c", "1"])
         assert code == EXIT_INVARIANT
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: ")
         assert err.count("\n") == 1
+
+    def test_vanishing_denominator_exits_3(self, monkeypatch, capsys):
+        # [5] vanishes at every embedding of p = 5, so the theta witness of
+        # decide-closed --p 5 --g 2 meets it in a denominator
+        monkeypatch.setattr(positivity, "theta_norm_ratio",
+                            lambda level, t: GramRatio(qint(1) / qint(5)))
+        code, out = run(["decide-closed", "--p", "5", "--g", "2"])
+        assert code == EXIT_INVARIANT
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "invariant violation: [5] vanishes at k=3, p=5, in a denominator\n"
 
 
 class TestVerifyTheoremCommand:
@@ -240,8 +253,8 @@ class TestVerifyTheoremCommand:
     def test_clause4_witness_k_is_the_designated_one(self, monkeypatch):
         designated = positivity.clause_witness_k
 
-        def unitary_for_clause4(r, c, clause):
-            return 1 if clause == 4 else designated(r, c, clause)
+        def unitary_for_clause4(r, clause):
+            return 1 if clause == 4 else designated(r, clause)
 
         monkeypatch.setattr(positivity, "clause_witness_k", unitary_for_clause4)
         code, out = run(["verify-theorem", "--r-max", "13"])

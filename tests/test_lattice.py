@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -107,18 +108,30 @@ class TestNaiveNormFormula:
     def test_monomial(self):
         level = LevelContext.at(14)
         a = CyclotomicInteger.monomial(level.alpha_p, 3)
-        assert naive_norm_formula(a, level) == 1
+        assert naive_norm_formula(a) == 1
 
     def test_sum_of_squares_prime_level(self):
         level = LevelContext.at(7)
         element = lattice_element(level, [1, -2, 3])
-        assert naive_norm_formula(element, level) == Fraction(14)
+        assert naive_norm_formula(element) == Fraction(14)
 
     def test_can_disagree_with_exact_trace(self):
         # the displayed form omits cross terms at p = 3 (mod 4)
         level = LevelContext.at(7)
         element = lattice_element(level, [1, 1])
-        assert naive_norm_formula(element, level) != psi_norm_sq(element, level)
+        assert naive_norm_formula(element) != psi_norm_sq(element, level)
+
+    @pytest.mark.parametrize("p", [10, 14, 26, 38])
+    def test_sum_of_squares_at_even_levels(self, p):
+        # a canonical element at alpha_p = 4r has 2r - 2 coefficients, so the
+        # display's p = 2r correction, over indices 2r apart, is empty
+        level = LevelContext.at(p)
+        rng = random.Random(p)
+        for _ in range(20):
+            coeffs = [rng.randint(-10, 10) for _ in range(level.alpha_p + 3)]
+            element = lattice_element(level, coeffs)
+            assert len(element.coeffs) <= 2 * level.r - 2
+            assert naive_norm_formula(element) == sum(c * c for c in element.coeffs)
 
 
 class TestDiscretenessCertificate:

@@ -81,3 +81,34 @@ def test_no_unused_module_level_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an input no caller can vary
+    unread = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {a.arg}" for a in params
+                       if a.arg not in ("self", "cls") and a.arg not in read]
+    assert unread == []
+
+
+def test_every_raise_is_a_usage_error_or_an_invariant_violation():
+    # cli.main maps exactly these two classes to exit codes 2 and 3
+    others = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name)
+                        and exc.id in ("UsageError", "InvariantViolation")):
+                    others.append(f"{path.name}:{node.lineno}")
+    assert others == []

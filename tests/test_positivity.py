@@ -171,7 +171,7 @@ def _seven_term_witness(level, c):
     the prefix-count parities: the per-entry parity rule the masks replace."""
     r = level.r
     for emb in embeddings(level):
-        b = qint_sign_values(level.p, emb.k, r - 1)
+        b = qint_sign_values(level.p, emb.k)
         n = [b >> i & 1 for i in range(r)]
         for j in range(1, r - 1 - 2 * c):
             parity = (n[2 * c + j + 1] - n[2 * c + 1] + n[j] - n[c + j + 1]
@@ -193,7 +193,7 @@ class TestMaskWitness:
         # bit n is N(n) mod 2.  The order is invisible in the witnesses, whose
         # tables are symmetric, N(r-1-n) = N(r-1) - N(n), but not below r - 1:
         # at p = 14, k = 5 only [2] is negative among [1..4], so N = 0,0,1,1,1
-        assert qint_sign_values(14, 5, 4) == 0b11100
+        assert qint_sign_values(14, 5) & 0b11111 == 0b11100
 
     def test_sign_matrix_is_built_on_first_access(self, monkeypatch):
         def fail(level, c):
@@ -241,7 +241,7 @@ class TestInvariants:
     def test_vanishing_factor_in_range(self, monkeypatch):
         # the builder itself raises at k = 0 (mod p), where [1] already vanishes
         monkeypatch.setattr(
-            positivity, "qint_sign_values", lambda p, k, n_max: qint_sign_values(p, 0, n_max)
+            positivity, "qint_sign_values", lambda p, k: qint_sign_values(p, 0)
         )
         with pytest.raises(InvariantViolation, match=r"\[1\] vanishes"):
             decide_torus(7, 1)
@@ -250,7 +250,7 @@ class TestInvariants:
         # every embedding read as the unitary one, k = 1 at p = 2r, where all
         # [m] with m <= r - 1 are positive
         monkeypatch.setattr(
-            positivity, "qint_sign_values", lambda p, k, n_max: qint_sign_values(p, 1, n_max)
+            positivity, "qint_sign_values", lambda p, k: qint_sign_values(p, 1)
         )
         assert decide_torus(7, 1).verdict is Finiteness.FINITE
         with pytest.raises(InvariantViolation):
@@ -286,7 +286,7 @@ class TestTheoremPredicate:
         ],
     )
     def test_clause_witness(self, r, c, clause, expected):
-        assert clause_witness_k(r, c, clause) == expected
+        assert clause_witness_k(r, clause) == expected
 
     @pytest.mark.parametrize("r", list(primerange(5, 98)))
     def test_crosscheck_always_agrees(self, r):
@@ -407,7 +407,7 @@ def _general_masks(level, c):
     ratios = (1 << (r - 1 - 2 * c)) - 2
     masks = []
     for k in embedding_ks(level.p):
-        b = qint_sign_values.__wrapped__(level.p, k, r - 1)
+        b = qint_sign_values.__wrapped__(level.p, k)
         x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
         masks.append((k, (~x if x & 1 else x) & ratios))
     return masks

@@ -12,7 +12,7 @@ from sympy import primerange
 
 import rtfinite
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
-from rtfinite.errors import DivisionByZeroQuantumInteger, InvariantViolation, UsageError
+from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import (
     ONE,
     QuantumFactored,
@@ -59,8 +59,11 @@ class TestQuantumFactored:
         assert str(qint(0)) == "0"
 
     def test_zero_inverse(self):
-        with pytest.raises(DivisionByZeroQuantumInteger):
+        with pytest.raises(UsageError):
             qint(0).inverse()
+        for e in (0, -1):
+            with pytest.raises(UsageError):
+                qint(0) ** e
 
     def test_from_factors_adds_repeated_exponents(self):
         assert QuantumFactored.from_factors(1, [(3, 1), (3, 1)]) == qint(3) * qint(3)
@@ -110,28 +113,32 @@ class TestQintSign:
                         assert eval_sign(qint(m), emb) is expected
 
 
+LEVELS = [q for r in primerange(3, 201) for q in (r, 2 * r) if q <= 400]
+
+
 class TestQintSignValues:
     @pytest.mark.parametrize("p", [5, 6, 7, 10, 14, 22, 26, 37, 74])
     def test_prefix_counts_of_negative_quantum_integers(self, p):
         # bit n of the mask is the parity of the negatives among [1..n]
         r = p if p % 2 else p // 2
         for emb in embeddings(p):
-            mask = qint_sign_values(p, emb.k, r - 1)
+            mask = qint_sign_values(p, emb.k)
             assert mask >> r == 0
             negatives = [eval_sign(qint(m), emb) is Sign.NEGATIVE for m in range(1, r)]
             assert [mask >> n & 1 for n in range(r)] == [
                 sum(negatives[:n]) % 2 for n in range(r)]
 
-    @pytest.mark.parametrize("p", [6, 10, 14, 22])
+    @pytest.mark.parametrize("p", LEVELS)
     def test_stops_before_the_first_vanishing_factor(self, p):
-        # [r] vanishes at every embedding of p = 2r: the builder raises
-        # exactly when n_max reaches it
-        r = p // 2
-        for emb in embeddings(p):
-            qint_sign_values(p, emb.k, r - 1)
-            for n_max in (r, p):
-                with pytest.raises(InvariantViolation, match=rf"\[{r}\] vanishes"):
-                    qint_sign_values(p, emb.k, n_max)
+        # some [m] with m <= r - 1 vanishes at k exactly when r divides k
+        r = p if p % 2 else p // 2
+        build = qint_sign_values.__wrapped__  # uncached: the test visits every k
+        for k in range(-1, p + 2):
+            if k % r:
+                build(p, k)
+            else:
+                with pytest.raises(InvariantViolation, match=r"\[1\] vanishes"):
+                    build(p, k)
 
     def test_vanishing_factor_raises_under_optimize_flag(self):
         src = str(Path(rtfinite.__file__).resolve().parents[1])
@@ -139,7 +146,7 @@ class TestQintSignValues:
             "from rtfinite.errors import InvariantViolation\n"
             "from rtfinite.quantum import qint_sign_values\n"
             "try:\n"
-            "    qint_sign_values(6, 1, 3)\n"  # [3] vanishes at p = 6
+            "    qint_sign_values(6, 3)\n"  # [1] vanishes at k = 3, p = 6
             "except InvariantViolation:\n"
             "    print('raised')\n"
         )
@@ -148,9 +155,6 @@ class TestQintSignValues:
             capture_output=True, text=True, timeout=60, check=True,
         )
         assert out.stdout == "raised\n"
-
-
-LEVELS = [q for r in primerange(3, 201) for q in (r, 2 * r) if q <= 400]
 
 
 @pytest.mark.parametrize("p", LEVELS)
@@ -166,7 +170,7 @@ def test_masks_agree_at_k_and_minus_k(r):
     # [m] at k equals [m] at p - k: both sines change sign
     p = 2 * r
     for emb in embeddings(p):
-        assert qint_sign_values(p, emb.k, r - 1) == qint_sign_values(p, p - emb.k, r - 1), emb.k
+        assert qint_sign_values(p, emb.k) == qint_sign_values(p, p - emb.k), emb.k
 
 
 def _loop_sign_values(p, k, n_max):
@@ -188,14 +192,13 @@ def test_sign_values_match_the_loop(p):
     r = p if p % 2 else p // 2
     build = qint_sign_values.__wrapped__  # uncached: the test visits every k
     for k in range(-1, p + 2):
-        for n_max in (0, r - 1, p + 1):
-            counts = _loop_sign_values(p, k, n_max)
-            if len(counts) <= n_max:
-                with pytest.raises(InvariantViolation, match=rf"\[{len(counts)}\] vanishes"):
-                    build(p, k, n_max)
-            else:
-                mask = sum((n & 1) << i for i, n in enumerate(counts))
-                assert build(p, k, n_max) == mask, (k, n_max)
+        counts = _loop_sign_values(p, k, r - 1)
+        if len(counts) < r:
+            with pytest.raises(InvariantViolation, match=rf"\[{len(counts)}\] vanishes"):
+                build(p, k)
+        else:
+            mask = sum((n & 1) << i for i, n in enumerate(counts))
+            assert build(p, k) == mask, k
 
 
 def _merged_ratio(num, den):
@@ -231,7 +234,7 @@ class TestEvalSign:
 
     def test_denominator_zero_raises(self):
         value = qint(1) / qint(7)
-        with pytest.raises(DivisionByZeroQuantumInteger):
+        with pytest.raises(InvariantViolation):
             eval_sign(value, EmbeddingIndex(1, 14))
 
     def test_numerator_zero(self):
