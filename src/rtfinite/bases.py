@@ -6,26 +6,21 @@ two.  Only ratios of diagonal norms are ever produced; the bases are
 orthogonal and absolute norms are never needed.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .context import LevelContext
 from .errors import UsageError
 from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, theta_symbol
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(NamedTuple):
     a: int
     b: int
     c: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
-
-@dataclass(frozen=True)
-class GramRatio:
+class GramRatio(NamedTuple):
     """The ratio <numerator> / <denominator> of two diagonal Gram norms."""
 
     value: QuantumFactored
@@ -101,7 +96,7 @@ def theta_norm_ratio(level: LevelContext, t: AdmissibleTriple) -> GramRatio:
     theta(a,b,c)^2 / (<a><b><c>); at odd levels the theta symbol enters
     unsquared and without its global sign.
     """
-    a, b, c = t.as_tuple()
+    a, b, c = t
     if not is_admissible(level, a, b, c):
         raise UsageError(f"({a},{b},{c}) is not {level.p}-admissible")
     theta = theta_symbol(a, b, c)

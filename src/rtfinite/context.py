@@ -5,8 +5,8 @@ LevelContext bundles p, r, the auxiliary order alpha_p used by the lattice
 machinery, and the set of valid edge colors at that level.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import UsageError
 
@@ -107,8 +107,7 @@ def alpha(p: int) -> int:
     return 4 * r
 
 
-@dataclass(frozen=True)
-class LevelContext:
+class LevelContext(NamedTuple):
     """Root object for all computations at a fixed level p."""
 
     p: int

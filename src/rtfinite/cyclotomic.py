@@ -2,17 +2,18 @@
 
 A value is a canonically reduced integer coefficient vector of length
 phi(N); equality of values is equality of vectors.  Coefficients are
-Python integers, so no overflow handling is needed.  The field trace
-reads a cached per-order table of Ramanujan sums.  The module also
-provides the Galois embedding bookkeeping (EmbeddingIndex) and the pure
-integer sign function sin_sign that underlies every exact sign
-evaluation in the package: quantum reads the sign of [n] as sin_sign at
-the folded step of the embedding, directly or through its residue table.
+Python integers, so no overflow handling is needed.  A vector of at most
+phi(N) coefficients is its own remainder; only longer ones are divided by
+phi_N.  The field trace reads a cached per-order table of Ramanujan sums.
+The module also provides the Galois embedding bookkeeping (EmbeddingIndex)
+and the pure integer sign function sin_sign that underlies every exact
+sign evaluation in the package: quantum reads the sign of [n] as sin_sign
+at the folded step of the embedding, directly or through its residue table.
 """
 
 import cmath
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, pi
 from operator import mul
@@ -91,19 +92,18 @@ def trace_table(order: int) -> tuple[int, ...]:
     return tuple(by_cofactor[order // gcd(m, order)] for m in range(order))
 
 
-@dataclass(frozen=True)
-class CyclotomicInteger:
+class CyclotomicInteger(namedtuple("CyclotomicInteger", "order coeffs")):
     """A canonical residue in Z[A]/phi_N(A); coeffs[j] is the coefficient of A^j."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != totient(self.order):
+    def __new__(cls, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != totient(order):
             raise InvariantViolation(
-                f"{len(self.coeffs)} coefficients for order {self.order}, "
-                f"expected phi({self.order}) = {totient(self.order)}"
+                f"{len(coeffs)} coefficients for order {order}, "
+                f"expected phi({order}) = {totient(order)}"
             )
+        return super().__new__(cls, order, coeffs)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicInteger":
@@ -180,15 +180,14 @@ def reduce(raw_coeffs, order: int) -> CyclotomicInteger:
     """Canonical residue of sum(raw_coeffs[j] * A^j) modulo phi_order(A)."""
     if order < 3:
         raise UsageError(f"order must be >= 3, got {order}")
-    phi_poly = cyclotomic_polynomial(order)
-    _, rem = _poly_divmod(list(raw_coeffs) or [0], phi_poly)
+    rem = list(raw_coeffs)
     deg = totient(order)
-    rem = rem + [0] * (deg - len(rem))
-    return CyclotomicInteger(order, tuple(rem[:deg]))
+    if len(rem) > deg:
+        _, rem = _poly_divmod(rem, cyclotomic_polynomial(order))
+    return CyclotomicInteger(order, tuple(rem + [0] * (deg - len(rem))))
 
 
-@dataclass(frozen=True)
-class EmbeddingIndex:
+class EmbeddingIndex(namedtuple("EmbeddingIndex", "k p")):
     """A choice of primitive 2p-th root of unity A = exp(i*pi*k/p).
 
     Canonical representatives have k <= p; the conjugate embedding 2p - k
@@ -202,14 +201,12 @@ class EmbeddingIndex:
     s = min(k mod p, -k mod p), where sin(2 pi s / p) > 0.
     """
 
-    k: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= 2 * self.p - 1 or gcd(self.k, 2 * self.p) != 1:
-            raise UsageError(
-                f"k = {self.k} is not a valid embedding index for p = {self.p}"
-            )
+    def __new__(cls, k: int, p: int):
+        if not 1 <= k <= 2 * p - 1 or gcd(k, 2 * p) != 1:
+            raise UsageError(f"k = {k} is not a valid embedding index for p = {p}")
+        return super().__new__(cls, k, p)
 
     @property
     def is_canonical(self) -> bool:

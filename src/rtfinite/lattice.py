@@ -2,20 +2,22 @@
 
 The embedding into the product of Galois conjugates has a discrete
 image because the averaged square norm of any element is an integer
-divided by phi(alpha_p).  The exact trace Tr(P * conjugate(P)), taken as
-the integer quadratic form sum c_i c_j Tr(A^(i-j)) over the canonical
-coefficients, is the ground truth for that norm; the literal closed form
+divided by phi(alpha_p).  The exact trace Tr(P * conjugate(P)), a weighted
+sum of squared residue-class sums of the coefficients (Ramanujan sums, see
+psi_norm_sq), is the ground truth for that norm; the literal closed form
 displayed alongside the integrality statement (the sum of squared canonical
 coefficients) is computed separately purely so the two can be compared.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice, repeat
 from operator import mul
+from typing import NamedTuple
 
-from .context import LevelContext
-from .cyclotomic import CyclotomicInteger, reduce, trace_table
+from .context import LevelContext, divisors, mobius
+from .cyclotomic import CyclotomicInteger, reduce
 from .errors import UsageError
 
 # discreteness_certificate draws each coefficient uniformly from
@@ -28,29 +30,36 @@ def lattice_element(level: LevelContext, raw_coeffs) -> CyclotomicInteger:
     return reduce(raw_coeffs, level.alpha_p)
 
 
+@lru_cache(maxsize=None)
+def _ramanujan_weights(order: int) -> tuple[tuple[int, int], ...]:
+    """(e, e * mu(order / e)) for the divisors e of order with a nonzero weight."""
+    return tuple((e, e * mobius(order // e)) for e in divisors(order) if mobius(order // e))
+
+
 def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> Fraction:
     """Exact averaged square norm over all conjugate embeddings.
 
     Equals trace(P * conjugate(P)) / phi(alpha_p); the numerator is a
-    nonnegative rational integer, zero only for P = 0.  The trace is linear,
-    so the numerator is the quadratic form sum c_i c_j Tr(A^(i-j)) of the
-    canonical coefficients over the cached trace table; no ring arithmetic
-    is done.  Since Tr(A^-d) = Tr(A^d), the terms are grouped by d = |i - j|:
-    the autocorrelation sum_i c_i c_(i+d) meets Tr(A^d) once for d = 0 and
-    twice for d > 0, and the d with Tr(A^d) = 0 are skipped.
+    nonnegative rational integer, zero only for P = 0.  Tr(A^(i-j)) is the
+    Ramanujan sum of e * mu(N/e) over the e | N = alpha_p dividing i - j, so
+    the numerator sum c_i c_j Tr(A^(i-j)) regroups by e into
+        sum_{e | N} mu(N/e) e sum_{a mod e} (sum_{i = a mod e} c_i)^2:
+    strided slice sums, and sum c_i^2 for e >= phi(N), where every class
+    holds at most one coefficient.  No ring arithmetic is done.
     """
     if element.order != level.alpha_p:
         raise UsageError(
             f"element has order {element.order}, expected alpha_p = {level.alpha_p}"
         )
     coeffs = element.coeffs
-    table = trace_table(element.order)
-    shifted = sum(
-        t * sum(map(mul, coeffs, coeffs[d:]))
-        for d, t in enumerate(table[1:len(coeffs)], 1)
-        if t
-    )
-    return Fraction(table[0] * sum(map(mul, coeffs, coeffs)) + 2 * shifted, level.phi_alpha)
+    squares = sum(map(mul, coeffs, coeffs))
+    numerator = 0
+    for e, weight in _ramanujan_weights(element.order):
+        if e >= len(coeffs):
+            numerator += weight * squares
+        else:
+            numerator += weight * sum(sum(coeffs[a::e]) ** 2 for a in range(e))
+    return Fraction(numerator, level.phi_alpha)
 
 
 def naive_norm_formula(element: CyclotomicInteger) -> Fraction:
@@ -63,11 +72,10 @@ def naive_norm_formula(element: CyclotomicInteger) -> Fraction:
     the exact trace produces (none of which affect the integrality that
     discreteness rests on).
     """
-    return Fraction(sum(c * c for c in element.coeffs))
+    return Fraction(sum(map(mul, element.coeffs, element.coeffs)))
 
 
-@dataclass(frozen=True)
-class DiscretenessReport:
+class DiscretenessReport(NamedTuple):
     level_p: int
     samples: int
     seed: int
@@ -86,17 +94,22 @@ def discreteness_certificate(
     Integrality bounds every nonzero norm below by 1/phi(alpha_p), which
     is the discreteness statement.  Also tallies where the displayed
     closed form agrees with the exact trace value.
+
+    The coefficients are rng.randint(-COEFF_BOUND, COEFF_BOUND) on CPython's
+    Random, unrolled: each is the next getrandbits draw below width, less
+    COEFF_BOUND; the generator draws no further than the last value taken.
     """
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
-    rng = random.Random(seed)
+    width = 2 * COEFF_BOUND + 1
+    draws = map(random.Random(seed).getrandbits, repeat(width.bit_length()))
+    values = (b - COEFF_BOUND for b in draws if b < width)
     deg = level.phi_alpha
     passes = failures = agree = disagree = 0
     min_norm = None
     drawn = 0
     while drawn < sample_size:
-        coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(deg)]
-        element = lattice_element(level, coeffs)
+        element = lattice_element(level, list(islice(values, deg)))
         if element.is_zero():
             continue
         drawn += 1

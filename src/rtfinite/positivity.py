@@ -11,9 +11,8 @@ clauses of the one-holed-torus theorem.
 """
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .bases import (
     AdmissibleTriple,
@@ -50,23 +49,35 @@ class Provenance(enum.Enum):
     CLOSED_SURFACE_RULE = "closed-surface-rule"
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Witness and the sign entries that lead to it.
 
     The witness is the first (embedding k, ratio id) in scan order at which
     a ratio is negative, or None; the verdict is read off it.  entries()
     yields every ((k, ratio id), Sign) in scan order (ascending k, then
     ratio).  sign_matrix maps the keys to their signs, built from entries()
-    on first access: every entry when there is no witness, otherwise the
+    on each access: every entry when there is no witness, otherwise the
     entries up to and including the witness.  torus_c is the color of a
     one-holed-torus report, whose ratio ids are lollipop indices j.
+    Reports compare and hash without entries, a fresh callable per report.
     """
 
     level: LevelContext
-    entries: Callable[[], Iterable[tuple[tuple, Sign]]] = field(compare=False)
+    entries: Callable[[], Iterable[tuple[tuple, Sign]]]
     witness: Optional[tuple] = None
     torus_c: Optional[int] = None
+
+    def _key(self) -> tuple:
+        return self.level, self.witness, self.torus_c
+
+    def __eq__(self, other):
+        return isinstance(other, PositivityReport) and self._key() == other._key()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def verdict(self) -> Positivity:
@@ -74,7 +85,7 @@ class PositivityReport:
             return Positivity.COMPLETELY_POSITIVE
         return Positivity.NOT_COMPLETELY_POSITIVE
 
-    @cached_property
+    @property
     def sign_matrix(self) -> dict:
         sign_matrix = {}
         for key, s in self.entries():
@@ -84,8 +95,7 @@ class PositivityReport:
         return sign_matrix
 
 
-@dataclass(frozen=True)
-class FinitenessVerdict:
+class FinitenessVerdict(NamedTuple):
     """The image is finite exactly when the report has no witness."""
 
     provenance: Provenance
@@ -328,10 +338,10 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         s = eval_sign(ratio.value, EmbeddingIndex(witness_k, p))
         if s is not Sign.NEGATIVE:
             raise InvariantViolation(
-                f"designated witness {triple.as_tuple()} at k={witness_k} "
+                f"designated witness {tuple(triple)} at k={witness_k} "
                 f"is not negative at p={p}"
             )
-        key = (witness_k, triple.as_tuple())
+        key = (witness_k, tuple(triple))
         report = PositivityReport(level, lambda: [(key, s)], key)
         return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 

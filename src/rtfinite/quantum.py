@@ -8,16 +8,15 @@ evaluation at an embedding is exact and division-free.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import EmbeddingIndex, Sign, sin_sign
 from .errors import InvariantViolation, UsageError
 
 
-@dataclass(frozen=True)
-class QuantumFactored:
+class QuantumFactored(NamedTuple):
     """A formal signed product unit * prod [n]^e_n of quantum integers.
 
     unit is +1 or -1, or 0 for the zero symbol.  factors is sorted by n

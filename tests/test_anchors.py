@@ -4,10 +4,12 @@ The four sweep prefixes were recorded before the prefix-parity sign engine,
 the three largest decisions the command line admits before the parity mask
 was built without count tables, and the largest p = r decision while p = r
 still needed an opt-in flag (no clause applies at c = 0, so no cross-check
-entered its record).  The last three were recorded while the scan still
+entered its record).  The next three were recorded while the scan still
 rendered its whole report at once and the one-ratio color 2c = r - 3 was
-still read off parity masks.  None may move with a change that keeps verdicts,
-witnesses and report formats.
+still read off parity masks.  The three lattice certificates were recorded
+while each coefficient was a call of randint and the norm was the quadratic
+form over the trace table.  None may move with a change that keeps verdicts,
+witnesses, report formats and the seeded draws.
 """
 
 import hashlib
@@ -30,11 +32,14 @@ ANCHORS = [
     (["scan", "--r-max", "499", "--format", "json", "--jobs", "1"], "b044b312f7b67bc5"),
     (["scan", "--r-max", "499", "--format", "text", "--jobs", "1"], "aaff71a22276d2eb"),
     (["decide-torus", "--r", "1999", "--c", "998", "--p-choice", "r"], "f08c30f22bb9d2e2"),
+    (["lattice-check", "--p", "254", "--samples", "1000", "--seed", "0"], "38d0ee8f9a865c68"),
+    (["lattice-check", "--p", "86", "--samples", "300", "--seed", "9"], "94f16e7d87aaface"),
+    (["lattice-check", "--p", "7", "--samples", "2000", "--seed", "4"], "0690e20942fb26b9"),
 ]
 IDS = ["scan-csv", "scan-json", "verify-theorem", "scan-499-csv",
        "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1",
        "decide-torus-1999-c0-odd", "scan-499-json", "scan-499-text",
-       "decide-torus-1999-c998-odd"]
+       "decide-torus-1999-c998-odd", "lattice-254", "lattice-86", "lattice-7"]
 
 
 @pytest.mark.parametrize("argv,prefix", ANCHORS, ids=IDS)

@@ -148,29 +148,29 @@ class TestLollipopRatios:
 
 class TestAdmissibleTriples:
     def test_p6(self):
-        triples = {t.as_tuple() for t in admissible_triples(LevelContext.at(6))}
+        triples = {tuple(t) for t in admissible_triples(LevelContext.at(6))}
         assert triples == {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
         assert (1, 1, 1) not in triples
 
     def test_p5(self):
-        triples = {t.as_tuple() for t in admissible_triples(LevelContext.at(5))}
+        triples = {tuple(t) for t in admissible_triples(LevelContext.at(5))}
         assert {(0, 0, 0), (2, 2, 2), (2, 2, 0), (2, 0, 2), (0, 2, 2)} <= triples
 
     def test_p10(self):
-        triples = {t.as_tuple() for t in admissible_triples(LevelContext.at(10))}
+        triples = {tuple(t) for t in admissible_triples(LevelContext.at(10))}
         assert (2, 1, 1) in triples
         assert (2, 2, 2) in triples
         assert (3, 3, 2) not in triples  # sum exceeds 2r - 4
 
     def test_lexicographic(self):
-        triples = [t.as_tuple() for t in admissible_triples(LevelContext.at(10))]
+        triples = [tuple(t) for t in admissible_triples(LevelContext.at(10))]
         assert triples == sorted(triples)
 
     @pytest.mark.parametrize("r", list(primerange(5, 60)))
     def test_largest_sum_is_2r_minus_4_at_both_levels(self, r):
         for p in (r, 2 * r):
             triples = admissible_triples(LevelContext.at(p))
-            assert max(sum(t.as_tuple()) for t in triples) == 2 * r - 4, p
+            assert max(sum(t) for t in triples) == 2 * r - 4, p
 
 
 class TestThetaNormRatio:

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,7 +239,7 @@ class TestVerifyTheoremCommand:
         def disagree(p, g):
             verdict = decide(p, g)
             if (p, g) == (10, 2):
-                return replace(verdict, crosscheck=positivity.Crosscheck.DISAGREE)
+                return verdict._replace(crosscheck=positivity.Crosscheck.DISAGREE)
             return verdict
 
         monkeypatch.setattr(cli, "decide_closed", disagree)
@@ -340,24 +339,30 @@ class TestIOError:
         assert not target.exists()
 
 
-def test_cli_import_leaves_sympy_out():
+def _imported_by_cli(module: str) -> bool:
+    """Whether a fresh interpreter has imported module after importing rtfinite.cli."""
     src = str(Path(rtfinite.__file__).resolve().parents[1])
-    code = "import sys, rtfinite.cli; print('sympy' in sys.modules)"
+    code = f"import sys, rtfinite.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[out.stdout]
+
+
+def test_cli_import_leaves_sympy_out():
+    assert not _imported_by_cli("sympy")
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    src = str(Path(rtfinite.__file__).resolve().parents[1])
-    code = "import sys, rtfinite.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert out.stdout == "False\n"
+    assert not _imported_by_cli("concurrent.futures.process")
+
+
+# dataclasses imports inspect, dis, ast and tokenize: the records are named
+# tuples so that no call pays for them at start-up
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_import_leaves_the_dataclass_machinery_out(module):
+    assert not _imported_by_cli(module)
 
 
 class TestSizeLimits:

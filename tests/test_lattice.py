@@ -1,19 +1,43 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtfinite.context import LevelContext, alpha
-from rtfinite.cyclotomic import CyclotomicInteger
+from rtfinite import lattice
+from rtfinite.context import LevelContext, alpha, totient
+from rtfinite.cyclotomic import (
+    CyclotomicInteger,
+    _poly_divmod,
+    cyclotomic_polynomial,
+    reduce,
+    trace_table,
+)
 from rtfinite.errors import UsageError
 from rtfinite.lattice import (
+    COEFF_BOUND,
     discreteness_certificate,
     lattice_element,
     naive_norm_formula,
     psi_norm_sq,
 )
+
+
+def trace_table_norm(element: CyclotomicInteger, level: LevelContext) -> Fraction:
+    """The O(phi^2) oracle: Tr(P conj P) as the quadratic form
+    sum c_i c_j Tr(A^(i-j)) over the trace table.  Since Tr(A^-d) = Tr(A^d),
+    the terms are grouped by d = |i - j|: the autocorrelation
+    sum_i c_i c_(i+d) meets Tr(A^d) once for d = 0 and twice for d > 0."""
+    coeffs = element.coeffs
+    table = trace_table(element.order)
+    shifted = sum(
+        t * sum(map(mul, coeffs, coeffs[d:]))
+        for d, t in enumerate(table[1:len(coeffs)], 1)
+        if t
+    )
+    return Fraction(table[0] * sum(map(mul, coeffs, coeffs)) + 2 * shifted, level.phi_alpha)
 
 
 @pytest.mark.parametrize(
@@ -90,8 +114,12 @@ class TestPsiNormSq:
 
 
     # every level of the benchmark's lattice workload: alpha_p = p and 4r,
-    # phi(alpha_p) from 6 to 84
-    @pytest.mark.parametrize("p", [7, 13, 19, 26, 31, 43, 47, 58, 74, 83, 86])
+    # phi(alpha_p) from 6 to 84; the smallest levels, where some divisor e of
+    # alpha_p is below phi(alpha_p) and others are not; and the largest level
+    # lattice-check admits, phi(508) = 252
+    @pytest.mark.parametrize(
+        "p", [7, 13, 19, 26, 31, 43, 47, 58, 74, 83, 86, 3, 5, 6, 10, 11, 254]
+    )
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_quadratic_form_matches_ring_path(self, p, data):
@@ -101,7 +129,19 @@ class TestPsiNormSq:
         )
         element = lattice_element(level, coeffs)
         ring = Fraction((element * element.conjugate()).trace(), level.phi_alpha)
-        assert psi_norm_sq(element, level) == ring
+        assert psi_norm_sq(element, level) == ring == trace_table_norm(element, level)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 11, 12, 20, 28, 52, 83, 508])
+def test_reduce_is_the_identity_up_to_phi_coefficients(order):
+    phi = totient(order)
+    rng = random.Random(order)
+    for length in range(phi + 1):
+        coeffs = [rng.randint(-10, 10) for _ in range(length)]
+        padded = tuple(coeffs) + (0,) * (phi - length)
+        assert reduce(coeffs, order).coeffs == padded
+        _, rem = _poly_divmod(coeffs or [0], cyclotomic_polynomial(order))
+        assert tuple(rem) + (0,) * (phi - len(rem)) == padded
 
 
 class TestNaiveNormFormula:
@@ -156,3 +196,31 @@ class TestDiscretenessCertificate:
     def test_rejects_empty_sample(self):
         with pytest.raises(UsageError):
             discreteness_certificate(LevelContext.at(7), 0)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("p", [3, 7, 10, 83, 254])
+    def test_samples_are_the_randint_stream(self, monkeypatch, p, seed):
+        # the certificate's draws are those of randint(-COEFF_BOUND,
+        # COEFF_BOUND) on one Random(seed): consecutive phi-chunks, with
+        # the all-zero chunks skipped (at p = 3, phi = 2, both seeds skip one)
+        level = LevelContext.at(p)
+        seen = []
+        norm = lattice.psi_norm_sq
+
+        def record(element, level):
+            seen.append(element.coeffs)
+            return norm(element, level)
+
+        monkeypatch.setattr(lattice, "psi_norm_sq", record)
+        samples = 600
+        discreteness_certificate(level, samples, seed)
+        rng = random.Random(seed)
+        expected, skipped = [], 0
+        while len(expected) < samples:
+            chunk = tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(level.phi_alpha))
+            if any(chunk):
+                expected.append(chunk)
+            else:
+                skipped += 1
+        assert seen == expected
+        assert skipped == (1 if p == 3 else 0)

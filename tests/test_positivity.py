@@ -5,7 +5,7 @@ import pytest
 from sympy import primerange
 
 from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
-from rtfinite import positivity
+from rtfinite import context, positivity
 from rtfinite.context import LevelContext, isprime
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from rtfinite.errors import InvariantViolation, UsageError
@@ -491,3 +491,26 @@ class TestTorusLevel:
             with pytest.raises(UsageError) as exc:
                 decide_torus(*args)
             assert str(exc.value) == message
+
+
+class TestRecordSemantics:
+    # a report's entries is a fresh callable per call, so records compare
+    # and hash by every other field
+    @pytest.mark.parametrize("decide", [
+        lambda: decide_torus(97, 5),
+        lambda: decide_torus(97, 5).report,
+        lambda: decide_closed(14, 3),
+        lambda: LevelContext.at(14),
+    ], ids=["decide_torus(97, 5)", "its report", "decide_closed(14, 3)", "LevelContext.at(14)"])
+    def test_equal_across_calls(self, decide):
+        first = decide()
+        context._level_context.cache_clear()
+        positivity._torus_level.cache_clear()
+        second = decide()
+        assert first == second
+        assert not first != second
+        assert hash(first) == hash(second)
+
+    def test_records_of_different_colors_differ(self):
+        assert decide_torus(97, 5).report != decide_torus(97, 4).report
+        assert decide_torus(97, 5) != decide_torus(97, 6)
