@@ -12,7 +12,6 @@ scan writes each level's records as soon as they are decided, so exit 3
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import time
@@ -111,6 +110,7 @@ def _write_report(records, fmt: str, out):
     """Write the report of records to out as the iterable yields them, so
     that a record need not be held once it is written."""
     if fmt == "json":
+        import json  # here, so that csv and text calls never load it
         # json.dumps(records, indent=2), one record at a time: no string in a
         # record holds a raw newline, so indenting each line indents the record
         sep = "[\n"

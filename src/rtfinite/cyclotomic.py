@@ -216,10 +216,11 @@ class EmbeddingIndex(namedtuple("EmbeddingIndex", "k p")):
         return cmath.exp(1j * pi * self.k / self.p)
 
 
-def embedding_ks(p: int):
-    """The canonical k <= p with gcd(k, 2p) = 1, ascending, generated lazily
-    so that a scan which stops early never builds the rest."""
-    return (k for k in range(1, p + 1) if gcd(k, 2 * p) == 1)
+@lru_cache(maxsize=16)
+def embedding_ks(p: int) -> tuple[int, ...]:
+    """The canonical k <= p with gcd(k, 2p) = 1, ascending: one tuple per
+    level, which every color of the level reads."""
+    return tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1)
 
 
 def embeddings(level) -> list[EmbeddingIndex]:

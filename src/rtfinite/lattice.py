@@ -10,7 +10,6 @@ coefficients) is computed separately purely so the two can be compared.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import mul
@@ -36,7 +35,7 @@ def _ramanujan_weights(order: int) -> tuple[tuple[int, int], ...]:
     return tuple((e, e * mobius(order // e)) for e in divisors(order) if mobius(order // e))
 
 
-def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> Fraction:
+def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> "Fraction":
     """Exact averaged square norm over all conjugate embeddings.
 
     Equals trace(P * conjugate(P)) / phi(alpha_p); the numerator is a
@@ -59,10 +58,11 @@ def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> Fraction:
             numerator += weight * squares
         else:
             numerator += weight * sum(sum(coeffs[a::e]) ** 2 for a in range(e))
+    from fractions import Fraction  # here, so that start-up skips fractions and decimal
     return Fraction(numerator, level.phi_alpha)
 
 
-def naive_norm_formula(element: CyclotomicInteger) -> Fraction:
+def naive_norm_formula(element: CyclotomicInteger) -> "Fraction":
     """The literal displayed closed form, from the canonical coefficients.
 
     On canonical coefficients it is sum(n_i^2) at both levels: the p = 2r
@@ -72,6 +72,7 @@ def naive_norm_formula(element: CyclotomicInteger) -> Fraction:
     the exact trace produces (none of which affect the integrality that
     discreteness rests on).
     """
+    from fractions import Fraction
     return Fraction(sum(map(mul, element.coeffs, element.coeffs)))
 
 
@@ -81,7 +82,7 @@ class DiscretenessReport(NamedTuple):
     seed: int
     integrality_passes: int
     integrality_failures: int
-    min_norm_sq: Fraction
+    min_norm_sq: "Fraction"
     formula_agreements: int
     formula_disagreements: int
 

@@ -146,14 +146,24 @@ def qfactorial_ratio(num, den) -> QuantumFactored:
 
 @lru_cache(maxsize=None)
 def _negative_residues(p: int) -> bytes:
-    """Byte x is the digit 1 when sin(2 pi x / p) < 0 (sin_sign), 0 <= x < p,
-    and the digit 0 otherwise.
+    """Byte x is the digit 1 when sin(2 pi x / p) < 0, 0 <= x < p, and the
+    digit 0 otherwise: sin_sign's rule, negative exactly when p/2 < x < p.
 
     [m] at k is [m] at the folded step s = min(k mod p, -k mod p), since both
     sines of sin(2 pi m k / p) / sin(2 pi k / p) change sign under k -> -k, and
     sin(2 pi s / p) > 0; so [m] < 0 at k exactly when digit m*s mod p is 1.
     """
-    return bytes(b"01"[sin_sign(x, p) is Sign.NEGATIVE] for x in range(p))
+    return b"0" * (p // 2 + 1) + b"1" * (p - 1 - p // 2)
+
+
+_TILE_LAPS = 64
+
+
+@lru_cache(maxsize=1)
+def _residue_tile(p: int) -> bytes:
+    """_negative_residues(p) repeated _TILE_LAPS times: byte i is the digit
+    of i mod p, for 0 <= i < _TILE_LAPS * p."""
+    return _negative_residues(p) * _TILE_LAPS
 
 
 def qint_product_negative(p: int, k: int, ms) -> int:
@@ -178,6 +188,10 @@ def qint_sign_values(p: int, k: int) -> int:
     InvariantViolation when r divides k, the only k where some [m], m < r,
     vanishes.
 
+    The digits of [m] < 0 for a run of m are one strided slice of the
+    _TILE_LAPS * p bytes of _residue_tile at m*s, s the folded step, shifted
+    down by a multiple of p; a run spans fewer than _TILE_LAPS laps of p.
+
     The cache holds the masks of every embedding of one level up to
     r = 4097 (p = 2r has r - 1 of them).  Past that, the least recently
     used masks are dropped: colors whose witness comes late build theirs
@@ -189,11 +203,17 @@ def qint_sign_values(p: int, k: int) -> int:
     first_zero = p // gcd(2 * step, p)
     if n_max >= first_zero:
         raise InvariantViolation(f"[{first_zero}] vanishes at k={k}, p={p}, inside 1..{n_max}")
-    negative = _negative_residues(p)
     # the digit of [m] < 0 at bit m, m = n_max down to 1, then bit 0; prefix
-    # XOR then makes bit n the parity of bits 1..n
-    residues = map(p.__rmod__, range(step * n_max, 0, -step))
-    b = int(bytes(map(negative.__getitem__, residues)) + b"0", 2)
+    # XOR then makes bit n the parity of bits 1..n.  The slice of m in
+    # (low, high] stops at low*s - base >= 0, as a negative stop would wrap
+    tile = _residue_tile(p)
+    chunk = (_TILE_LAPS - 1) * p // step
+    pieces = []
+    for high in range(n_max, 0, -chunk):
+        low = max(high - chunk, 0)
+        base = low * step - low * step % p
+        pieces.append(tile[high * step - base:low * step - base:-step])
+    b = int(b"".join(pieces) + b"0", 2)
     for i in range(n_max.bit_length()):
         b ^= b << (1 << i)
     return b & ((2 << n_max) - 1)

@@ -358,6 +358,17 @@ def test_cli_import_leaves_the_process_pool_out():
     assert not _imported_by_cli("concurrent.futures.process")
 
 
+# json is imported by the json writer alone, so csv and text calls skip it
+def test_cli_import_leaves_json_out():
+    assert not _imported_by_cli("json")
+
+
+# fractions (which imports decimal) is imported by the lattice norms alone
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+def test_cli_import_leaves_the_rational_numbers_out(module):
+    assert not _imported_by_cli(module)
+
+
 # dataclasses imports inspect, dis, ast and tokenize: the records are named
 # tuples so that no call pays for them at start-up
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])

@@ -19,6 +19,7 @@ from rtfinite.cyclotomic import (
     Sign,
     _poly_divmod,
     cyclotomic_polynomial,
+    embedding_ks,
     embeddings,
     reduce,
     sin_sign,
@@ -229,6 +230,13 @@ class TestEmbeddings:
 
     def test_accepts_level_context(self):
         assert [e.k for e in embeddings(LevelContext.at(5))] == [1, 3]
+
+    def test_one_tuple_per_level(self):
+        # every level p <= 400 of a prime r: the gcd filter, built once
+        for p in sorted({q for r in sympy.primerange(3, 401) for q in (r, 2 * r) if q <= 400}):
+            ks = embedding_ks(p)
+            assert ks == tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1), p
+            assert embedding_ks(p) is ks, p
 
     def test_rejects_shared_factor(self):
         with pytest.raises(UsageError):

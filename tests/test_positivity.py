@@ -433,6 +433,16 @@ class TestMasklessShapes:
         assert decide(*args).verdict is Finiteness.FINITE
         assert qint_sign_values.cache_info().misses == 0
 
+    @pytest.mark.parametrize("r", [3, 5, 7, 97, 1999])
+    def test_c0_visits_no_mask(self, r, monkeypatch):
+        # every mask at c = 0 is 0, so the witness search reads none of them
+        def no_masks(level, c):
+            raise AssertionError(f"a mask was read at c = {c}")
+
+        monkeypatch.setattr(positivity, "_torus_masks", no_masks)
+        for p_choice in ("2r", "r"):
+            assert decide_torus(r, 0, p_choice).verdict is Finiteness.FINITE
+
     @pytest.mark.parametrize("r", [5, 7, 11, 97, 1999])
     def test_one_residue_table_per_level(self, r):
         for p_choice in ("2r", "r"):

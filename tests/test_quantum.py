@@ -15,8 +15,10 @@ from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import (
     ONE,
+    _TILE_LAPS,
     QuantumFactored,
     _negative_residues,
+    _residue_tile,
     bracket_color,
     eval_sign,
     qfactorial,
@@ -199,6 +201,45 @@ def test_sign_values_match_the_loop(p):
         else:
             mask = sum((n & 1) << i for i, n in enumerate(counts))
             assert build(p, k) == mask, k
+
+
+def _rmod_sign_values(p, k):
+    """The parity mask with each residue m*s mod p, m = r - 1 down to 1, taken
+    by one % and looked up in the residue table one at a time: the oracle of
+    the strided slices of the tile."""
+    n_max = (p if p % 2 else p // 2) - 1
+    step = min(k % p, -k % p)
+    negative = _negative_residues(p)
+    residues = map(p.__rmod__, range(step * n_max, 0, -step))
+    b = int(bytes(map(negative.__getitem__, residues)) + b"0", 2)
+    for i in range(n_max.bit_length()):
+        b ^= b << (1 << i)
+    return b & ((2 << n_max) - 1)
+
+
+class TestSlicedMasks:
+    @pytest.mark.parametrize("r", list(primerange(3, 400)))
+    def test_equal_the_residue_oracle(self, r):
+        build = qint_sign_values.__wrapped__  # uncached: the test visits every k
+        for p in (r, 2 * r):
+            for k in range(1, 2 * p):
+                if k % r:
+                    assert build(p, k) == _rmod_sign_values(p, k), (p, k)
+
+    @pytest.mark.parametrize("p", [1999, 3998])
+    def test_equal_the_residue_oracle_over_many_slices(self, p):
+        # the largest steps span about 16 slices of the tile at r = 1999
+        build = qint_sign_values.__wrapped__
+        for step in [*range(1, 40), *range(p // 2 - 40, p // 2 + 1)]:
+            if step % 1999 and (p % 2 or step % 2):
+                assert build(p, step) == _rmod_sign_values(p, step), step
+                assert build(p, p - step) == _rmod_sign_values(p, p - step), step
+
+    def test_tile_is_linear_in_the_level(self):
+        p = 2 * 10007
+        step = p // 2 - 2  # odd, so a valid k: about 80 slices
+        assert qint_sign_values.__wrapped__(p, step) == _rmod_sign_values(p, step)
+        assert len(_residue_tile(p)) <= _TILE_LAPS * p
 
 
 def _merged_ratio(num, den):
