@@ -5,13 +5,13 @@ image because the averaged square norm of any element is an integer
 divided by phi(alpha_p).  The exact trace Tr(P * conjugate(P)), a weighted
 sum of squared residue-class sums of the coefficients (Ramanujan sums, see
 psi_norm_sq), is the ground truth for that norm; the literal closed form
-displayed alongside the integrality statement (the sum of squared canonical
-coefficients) is computed separately purely so the two can be compared.
+displayed alongside the integrality statement, the sum of squared canonical
+coefficients, is its term for e >= phi(alpha_p), read from the same sums.
 """
 
 import random
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
@@ -22,6 +22,14 @@ from .errors import UsageError
 # discreteness_certificate draws each coefficient uniformly from
 # [-COEFF_BOUND, COEFF_BOUND]
 COEFF_BOUND = 10
+# randint(-COEFF_BOUND, COEFF_BOUND) is getrandbits(5), the top 5 bits of one
+# 32-bit output, redrawn until below _WIDTH: as bytes, an output's top byte b
+# decodes to b >> _SHIFT, offset by COEFF_BOUND, unless it is in _REJECTED
+_WIDTH = 2 * COEFF_BOUND + 1
+_SHIFT = 8 - _WIDTH.bit_length()
+_DECODE, _REJECTED = bytes(b >> _SHIFT for b in range(256)), bytes(range(_WIDTH << _SHIFT, 256))
+_SQUARES = bytes((b - COEFF_BOUND) ** 2 if b < _WIDTH else 0 for b in range(256))
+_DRAW_WORDS = 4096  # 32-bit outputs per getrandbits call
 
 
 def lattice_element(level: LevelContext, raw_coeffs) -> CyclotomicInteger:
@@ -38,28 +46,39 @@ def _ramanujan_weights(order: int) -> tuple[tuple[int, int], ...]:
 def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> "Fraction":
     """Exact averaged square norm over all conjugate embeddings.
 
-    Equals trace(P * conjugate(P)) / phi(alpha_p); the numerator is a
-    nonnegative rational integer, zero only for P = 0.  Tr(A^(i-j)) is the
-    Ramanujan sum of e * mu(N/e) over the e | N = alpha_p dividing i - j, so
-    the numerator sum c_i c_j Tr(A^(i-j)) regroups by e into
-        sum_{e | N} mu(N/e) e sum_{a mod e} (sum_{i = a mod e} c_i)^2:
-    strided slice sums, and sum c_i^2 for e >= phi(N), where every class
-    holds at most one coefficient.  No ring arithmetic is done.
+    Equals trace(P * conjugate(P)) / phi(alpha_p); the numerator
+    (_norm_numerator) is a nonnegative rational integer, zero only for P = 0.
     """
     if element.order != level.alpha_p:
         raise UsageError(
             f"element has order {element.order}, expected alpha_p = {level.alpha_p}"
         )
     coeffs = element.coeffs
-    squares = sum(map(mul, coeffs, coeffs))
+    from fractions import Fraction  # here, so that start-up skips fractions and decimal
+    return Fraction(_norm_numerator(coeffs, sum(map(mul, coeffs, coeffs)), element.order),
+                    level.phi_alpha)
+
+
+def _norm_numerator(values, squares: int, order: int, shift: int = 0) -> int:
+    """Tr(P * conjugate(P)) for the coefficients c_i = values[i] - shift, given
+    squares = sum c_i^2.
+
+    Tr(A^(i-j)) is the Ramanujan sum of e * mu(N/e) over the e | N = order
+    dividing i - j, so sum c_i c_j Tr(A^(i-j)) regroups by e into
+        sum_{e | N} mu(N/e) e sum_{a mod e} (sum_{i = a mod e} c_i)^2:
+    strided slice sums, and sum c_i^2 for e >= phi(N), where every class
+    holds at most one coefficient.  No ring arithmetic is done.  Each class
+    mod e < phi(N) has phi(N)/e values: at N = alpha_p, e is 1, 2 or 4.
+    """
+    n = len(values)
     numerator = 0
-    for e, weight in _ramanujan_weights(element.order):
-        if e >= len(coeffs):
+    for e, weight in _ramanujan_weights(order):
+        if e >= n:
             numerator += weight * squares
         else:
-            numerator += weight * sum(sum(coeffs[a::e]) ** 2 for a in range(e))
-    from fractions import Fraction  # here, so that start-up skips fractions and decimal
-    return Fraction(numerator, level.phi_alpha)
+            for a in range(e):
+                numerator += weight * (sum(values[a::e]) - shift * n // e) ** 2
+    return numerator
 
 
 def naive_norm_formula(element: CyclotomicInteger) -> "Fraction":
@@ -87,6 +106,19 @@ class DiscretenessReport(NamedTuple):
     formula_disagreements: int
 
 
+def _coefficient_slices(seed: int, deg: int):
+    """Consecutive deg-byte slices of the decoded randint stream of
+    Random(seed).  CPython's getrandbits(32 n) is n successive outputs, least
+    significant first, so [3::4] of its little-endian bytes are their top bytes."""
+    getrandbits, stream = random.Random(seed).getrandbits, b""
+    while True:
+        words = getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+        stream += words[3::4].translate(_DECODE, _REJECTED)
+        end = len(stream) - len(stream) % deg
+        yield from (stream[i:i + deg] for i in range(0, end, deg))
+        stream = stream[end:]
+
+
 def discreteness_certificate(
     level: LevelContext, sample_size: int, seed: int = 0
 ) -> DiscretenessReport:
@@ -97,42 +129,22 @@ def discreteness_certificate(
     closed form agrees with the exact trace value.
 
     The coefficients are rng.randint(-COEFF_BOUND, COEFF_BOUND) on CPython's
-    Random, unrolled: each is the next getrandbits draw below width, less
-    COEFF_BOUND; the generator draws no further than the last value taken.
+    Random in phi(alpha_p)-byte samples (_coefficient_slices), all-zero ones
+    skipped; each is certified in integers, and only the least norm is a Fraction.
     """
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
-    width = 2 * COEFF_BOUND + 1
-    draws = map(random.Random(seed).getrandbits, repeat(width.bit_length()))
-    values = (b - COEFF_BOUND for b in draws if b < width)
     deg = level.phi_alpha
-    passes = failures = agree = disagree = 0
-    min_norm = None
-    drawn = 0
-    while drawn < sample_size:
-        element = lattice_element(level, list(islice(values, deg)))
-        if element.is_zero():
-            continue
-        drawn += 1
-        norm = psi_norm_sq(element, level)
-        scaled = norm * level.phi_alpha
-        if scaled.denominator == 1 and scaled >= 1:
-            passes += 1
-        else:
-            failures += 1
-        if naive_norm_formula(element) == norm:
-            agree += 1
-        else:
-            disagree += 1
-        if min_norm is None or norm < min_norm:
-            min_norm = norm
-    return DiscretenessReport(
-        level_p=level.p,
-        samples=sample_size,
-        seed=seed,
-        integrality_passes=passes,
-        integrality_failures=failures,
-        min_norm_sq=min_norm,
-        formula_agreements=agree,
-        formula_disagreements=disagree,
-    )
+    passes = agree = 0
+    least = None
+    nonzero = filter(bytes([COEFF_BOUND] * deg).__ne__, _coefficient_slices(seed, deg))
+    for values in islice(nonzero, sample_size):
+        squares = sum(values.translate(_SQUARES))
+        numerator = _norm_numerator(values, squares, level.alpha_p, COEFF_BOUND)
+        passes += numerator >= 1
+        agree += numerator == deg * squares
+        if least is None or numerator < least:
+            least = numerator
+    from fractions import Fraction
+    return DiscretenessReport(level.p, sample_size, seed, passes, sample_size - passes,
+                              Fraction(least, deg), agree, sample_size - agree)

@@ -183,12 +183,15 @@ def _torus_masks(level: LevelContext, c: int):
 
 def _torus_witness(level: LevelContext, c: int) -> Optional[tuple[int, int]]:
     """The first (k, j) in scan order with <u_j>/<u_0> < 0 at k, or None: the
-    lowest set bit of the first nonzero mask, never at c = 0 (_torus_masks)."""
+    lowest set bit of the first nonzero mask, never at c = 0 (_torus_masks),
+    nor after k = r - 2 (p = 2r: 2r - k has k's folded step; p = r: last k)."""
     if c == 0:
         return None
     for k, x in _torus_masks(level, c):
         if x:
             return k, (x & -x).bit_length() - 1
+        if k >= level.r - 2:
+            return None
     return None
 
 

@@ -1,5 +1,9 @@
+import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import islice, repeat
 from operator import mul
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtfinite import lattice
+from rtfinite.cli import EXIT_OK, main
 from rtfinite.context import LevelContext, alpha, totient
 from rtfinite.cyclotomic import (
     CyclotomicInteger,
@@ -204,23 +209,128 @@ class TestDiscretenessCertificate:
         # COEFF_BOUND) on one Random(seed): consecutive phi-chunks, with
         # the all-zero chunks skipped (at p = 3, phi = 2, both seeds skip one)
         level = LevelContext.at(p)
-        seen = []
-        norm = lattice.psi_norm_sq
-
-        def record(element, level):
-            seen.append(element.coeffs)
-            return norm(element, level)
-
-        monkeypatch.setattr(lattice, "psi_norm_sq", record)
         samples = 600
-        discreteness_certificate(level, samples, seed)
-        rng = random.Random(seed)
-        expected, skipped = [], 0
-        while len(expected) < samples:
-            chunk = tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(level.phi_alpha))
-            if any(chunk):
-                expected.append(chunk)
-            else:
-                skipped += 1
+        seen = _certified_samples(monkeypatch, level, samples, seed)
+        expected, skipped = _randint_samples(level, samples, seed)
         assert seen == expected
         assert skipped == (1 if p == 3 else 0)
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    @pytest.mark.parametrize("p", [3, 7, 254])
+    def test_samples_straddle_the_draws(self, monkeypatch, p, seed, words):
+        # a few words per getrandbits call, so that samples, rejected draws
+        # and (at p = 3) the skipped all-zero chunk fall across draw edges
+        monkeypatch.setattr(lattice, "_DRAW_WORDS", words)
+        level = LevelContext.at(p)
+        samples = 600 if p < 254 else 40
+        expected, skipped = _randint_samples(level, samples, seed)
+        assert _certified_samples(monkeypatch, level, samples, seed) == expected
+        assert (skipped > 0) == (p == 3)
+
+    # the eleven levels and sample counts of the benchmark's lattice workload,
+    # and the smallest and largest levels; at p = 3 and 7 the displayed form
+    # agrees with the exact norm on some samples and differs on others
+    @pytest.mark.parametrize("p,samples,seeds", [
+        *((p, n, range(3)) for p, n in [
+            (7, 1000), (13, 1000), (19, 1000), (26, 1000), (31, 1000), (43, 400),
+            (47, 400), (58, 200), (74, 200), (83, 200), (86, 200)]),
+        (3, 500, (0, 5)), (5, 500, (0, 5)), (6, 500, (0, 5)), (11, 500, (0, 5)),
+        (254, 300, (0, 5)),
+    ])
+    def test_equals_the_fraction_loop(self, p, samples, seeds):
+        level = LevelContext.at(p)
+        for seed in seeds:
+            report = discreteness_certificate(level, samples, seed)
+            assert report == _fraction_certificate(level, samples, seed)
+            assert report.min_norm_sq * level.phi_alpha >= 1
+        if p in (3, 7):
+            assert report.formula_agreements and report.formula_disagreements
+
+    def test_certifies_without_ring_elements(self, monkeypatch):
+        # the per-sample path reduces nothing and reads neither public norm;
+        # the three lattice anchors still match
+        from test_anchors import ANCHORS
+
+        def refuse(*args):
+            raise AssertionError("the certificate left its integer kernel")
+
+        for name in ("reduce", "psi_norm_sq", "naive_norm_formula"):
+            monkeypatch.setattr(lattice, name, refuse)
+        anchors = [(argv, prefix) for argv, prefix in ANCHORS if argv[0] == "lattice-check"]
+        assert len(anchors) == 3
+        for argv, prefix in anchors:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == EXIT_OK
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix
+
+
+def _randint_samples(level: LevelContext, samples: int, seed: int):
+    """The first `samples` nonzero phi-chunks of randint(-COEFF_BOUND,
+    COEFF_BOUND) on Random(seed), and the number of all-zero chunks skipped."""
+    rng = random.Random(seed)
+    expected, skipped = [], 0
+    while len(expected) < samples:
+        chunk = tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(level.phi_alpha))
+        if any(chunk):
+            expected.append(chunk)
+        else:
+            skipped += 1
+    return expected, skipped
+
+
+def _certified_samples(monkeypatch, level: LevelContext, samples: int, seed: int):
+    """The coefficient vectors the certificate passes to its norm numerator."""
+    seen = []
+    numerator = lattice._norm_numerator
+
+    def record(values, squares, order, shift=0):
+        seen.append(tuple(v - shift for v in values))
+        return numerator(values, squares, order, shift)
+
+    monkeypatch.setattr(lattice, "_norm_numerator", record)
+    discreteness_certificate(level, samples, seed)
+    monkeypatch.setattr(lattice, "_norm_numerator", numerator)
+    return seen
+
+
+def _fraction_certificate(level: LevelContext, sample_size: int, seed: int = 0):
+    """The certificate as a loop over ring elements and Fractions: each sample
+    is reduced to a CyclotomicInteger and read through psi_norm_sq and
+    naive_norm_formula.  Its draws are randint(-COEFF_BOUND, COEFF_BOUND),
+    unrolled: the next getrandbits draw below width, less COEFF_BOUND."""
+    width = 2 * COEFF_BOUND + 1
+    draws = map(random.Random(seed).getrandbits, repeat(width.bit_length()))
+    values = (b - COEFF_BOUND for b in draws if b < width)
+    deg = level.phi_alpha
+    passes = failures = agree = disagree = 0
+    min_norm = None
+    drawn = 0
+    while drawn < sample_size:
+        element = lattice_element(level, list(islice(values, deg)))
+        if element.is_zero():
+            continue
+        drawn += 1
+        norm = psi_norm_sq(element, level)
+        scaled = norm * level.phi_alpha
+        if scaled.denominator == 1 and scaled >= 1:
+            passes += 1
+        else:
+            failures += 1
+        if naive_norm_formula(element) == norm:
+            agree += 1
+        else:
+            disagree += 1
+        if min_norm is None or norm < min_norm:
+            min_norm = norm
+    return lattice.DiscretenessReport(
+        level_p=level.p,
+        samples=sample_size,
+        seed=seed,
+        integrality_passes=passes,
+        integrality_failures=failures,
+        min_norm_sq=min_norm,
+        formula_agreements=agree,
+        formula_disagreements=disagree,
+    )

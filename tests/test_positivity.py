@@ -462,6 +462,39 @@ class TestMasklessShapes:
                 assert x == (2 if negative else 0), (p, k)
 
 
+class TestMirroredEmbeddings:
+    """At p = 2r, k and 2r - k share their folded step, so the witness search
+    stops after k = r - 2; the sign matrix still covers every k."""
+
+    @pytest.mark.parametrize("r", [5, 7, 11, 97, 1999])
+    def test_finite_shape_visits_half_the_embeddings(self, r, monkeypatch):
+        visited = []
+        product = positivity.qint_product_negative
+
+        def count(p, k, ms):
+            visited.append((p, k))
+            return product(p, k, ms)
+
+        monkeypatch.setattr(positivity, "qint_product_negative", count)
+        c = (r - 3) // 2
+        verdict = decide_torus(r, c)
+        assert verdict.verdict is Finiteness.FINITE
+        assert visited == [(2 * r, k) for k in embedding_ks(2 * r) if k < r]
+        assert len(visited) == (r - 1) // 2
+        assert [k for k, j in verdict.report.sign_matrix] == list(embedding_ks(2 * r))
+        visited.clear()
+        assert decide_torus(r, c, "r").verdict is Finiteness.FINITE
+        assert visited == [(r, k) for k in embedding_ks(r)]
+
+    @pytest.mark.parametrize("r", list(primerange(3, 400)))
+    def test_witnesses_equal_the_full_walk(self, r):
+        for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+            for c in range(1, (r - 1) // 2):
+                full = next(((k, (x & -x).bit_length() - 1)
+                             for k, x in _torus_masks(level, c) if x), None)
+                assert _torus_witness(level, c) == full, (level.p, c)
+
+
 class TestMaskCache:
     def test_bounded_cache_keeps_the_verdicts(self, monkeypatch):
         # two passes over levels whose masks outnumber the cache: the second
