@@ -9,14 +9,14 @@ scan writes each level's records as soon as they are decided, so exit 3
 (or 4) can follow part of its report on stdout.
 """
 
-import argparse
-import csv
 import io
 import os
 import sys
 import time
 from contextlib import contextmanager
 from itertools import chain
+from math import gcd
+from types import SimpleNamespace
 from typing import Optional
 
 from .bases import lollipop_ratio_cumulative
@@ -120,6 +120,7 @@ def _write_report(records, fmt: str, out):
         out.write("[]\n" if sep == "[\n" else "\n]\n")
         return
     if fmt == "csv":
+        import csv  # here, so that json and text calls never load it
         # only the one-holed-torus commands offer csv; None prints as empty
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
@@ -298,13 +299,14 @@ def _cmd_lattice_check(args) -> int:
     check_limit("phi(alpha_p)", level.phi_alpha, MAX_LATTICE_PHI)
     check_limit("--samples", args.samples, MAX_SAMPLES)
     report = discreteness_certificate(level, args.samples, args.seed)
+    least = report.min_phi_norm_sq  # min_norm_sq in lowest terms is num/den
+    num, den = (n // gcd(least, level.phi_alpha) for n in (least, level.phi_alpha))
     lines = [
         f"p={report.level_p} alpha_p={level.alpha_p} phi(alpha_p)={level.phi_alpha} "
         f"samples={report.samples} seed={report.seed}",
         f"integrality: {report.integrality_passes} pass, "
         f"{report.integrality_failures} fail",
-        f"min norm^2: {report.min_norm_sq} "
-        f"(phi*norm^2 = {report.min_norm_sq * level.phi_alpha})",
+        f"min norm^2: {num}{f'/{den}' * (den > 1)} (phi*norm^2 = {least})",
         f"displayed closed form vs exact trace: {report.formula_agreements} agree, "
         f"{report.formula_disagreements} differ",
     ]
@@ -312,60 +314,78 @@ def _cmd_lattice_check(args) -> int:
     return EXIT_OK if report.integrality_failures == 0 else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rtfinite",
-        description="Exact finiteness decisions for quantum mapping class group "
-        "representations at levels r and 2r.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, one-line help and options.  An option is an int, a
+# str or a tuple of choices, with its default, or ... when it is required.
+_OUT = {"out": (str, None)}
+_REPORT = {"format": (("json", "csv", "text"), "text"), **_OUT}
+COMMANDS = {
+    "decide-torus": (_cmd_decide_torus, "one-holed torus at (r, c)", {
+        "r": (int, ...), "c": (int, ...), "p-choice": (("r", "2r"), "2r"), **_REPORT}),
+    "decide-closed": (_cmd_decide_closed, "closed genus-g surface at level p", {
+        "p": (int, ...), "g": (int, ...), "format": (("json", "text"), "text"), **_OUT}),
+    "scan": (_cmd_scan, "all (r, c) with nonempty basis, r <= r-max", {
+        "r-max": (int, ...), **_REPORT, "jobs": (int, os.cpu_count() or 1)}),
+    "verify-theorem": (_cmd_verify_theorem, "reproduce every clause instance in range", {
+        "r-max": (int, ...), **_OUT}),
+    "lattice-check": (_cmd_lattice_check, "discreteness certificate for O_p", {
+        "p": (int, ...), "samples": (int, 1000), **_OUT, "seed": (int, 0)}),
+}
 
-    def out_option(p):
-        p.add_argument("--out", default=None, help="also write the report here")
 
-    def report_options(p, formats=("json", "csv", "text")):
-        p.add_argument("--format", choices=formats, default="text")
-        out_option(p)
+def _help(prog: str, about: str, options: dict) -> str:
+    rows = {f"--{name} {'N' if kind is int else 'PATH' if kind is str else '|'.join(kind)}":
+            "required" if default is ... else f"default {default}"
+            for name, (kind, default) in options.items()}
+    rows = rows or {name: line for name, (_, line, _) in COMMANDS.items()}  # the top level
+    return f"usage: {prog} [-h] ...\n\n{about}\n\n" + "".join(
+        f"  {row:<24}{text}\n" for row, text in {"-h, --help": "show this help", **rows}.items())
 
-    p = sub.add_parser("decide-torus", help="one-holed torus at (r, c)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--p-choice", choices=("r", "2r"), default="2r")
-    report_options(p)
-    p.set_defaults(func=_cmd_decide_torus)
 
-    p = sub.add_parser("decide-closed", help="closed genus-g surface at level p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    report_options(p, ("json", "text"))
-    p.set_defaults(func=_cmd_decide_closed)
-
-    p = sub.add_parser("scan", help="all (r, c) with nonempty basis, r <= r-max")
-    p.add_argument("--r-max", type=int, required=True)
-    report_options(p)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("verify-theorem", help="reproduce every clause instance in range")
-    p.add_argument("--r-max", type=int, required=True)
-    out_option(p)
-    p.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("lattice-check", help="discreteness certificate for O_p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    out_option(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_lattice_check)
-
-    return parser
+def parse_args(argv: list[str]):
+    """The handler of argv's command and its options, read off COMMANDS as
+    argparse would: --opt value, --opt=value or a unique prefix of --opt, the
+    last occurrence winning.  -h/--help prints the help and exits 0; a bad
+    argument raises UsageError with an argparse-style message."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    handler, about, options = COMMANDS.get(command, (None, "Exact finiteness decisions.", {}))
+    prog, tokens = f"rtfinite {command or ''}".rstrip(), iter(argv[1:] if command else argv)
+    values = {name: default for name, (_, default) in options.items()}  # ... until given
+    try:
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            found = [n for n in (*options, "help") if f"--{n}" == name] or [
+                n for n in (*options, "help") if name[:2] == "--" and f"--{n}".startswith(name)]
+            if token == "-h" or found == ["help"]:
+                sys.stdout.write(_help(prog, about, options))
+                sys.exit(EXIT_OK)
+            if not command:
+                raise UsageError(f"argument command: invalid choice: {token!r}")
+            if len(found) != 1:
+                raise UsageError(f"ambiguous option: {name} could match --{', --'.join(found)}"
+                                 if found else f"unrecognized arguments: {token}")
+            (kind, _), value = options[found[0]], value if eq else next(tokens, None)
+            if value is None or not eq and value[:1] == "-" and not value[1:].isdigit():
+                raise UsageError(f"argument --{found[0]}: expected one argument")
+            if (kind is int and not value.removeprefix("-").isdecimal()
+                    or isinstance(kind, tuple) and value not in kind):
+                raise UsageError(f"argument --{found[0]}: invalid value: {value!r}")
+            values[found[0]] = int(value) if kind is int else value
+        missing = [f"--{n}" for n, v in values.items() if v is ...] if command else ["command"]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    except UsageError as exc:
+        raise UsageError(f"{prog}: error: {exc}") from None
+    return handler, SimpleNamespace(**{n.replace("-", "_"): v for n, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+    try:
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

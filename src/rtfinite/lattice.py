@@ -101,9 +101,15 @@ class DiscretenessReport(NamedTuple):
     seed: int
     integrality_passes: int
     integrality_failures: int
-    min_norm_sq: "Fraction"
+    min_phi_norm_sq: int  # phi(alpha_p) * the least norm^2 sampled, an integer
     formula_agreements: int
     formula_disagreements: int
+
+    @property
+    def min_norm_sq(self) -> "Fraction":
+        """The least norm^2 sampled, built as a Fraction only when read."""
+        from fractions import Fraction
+        return Fraction(self.min_phi_norm_sq, LevelContext.at(self.level_p).phi_alpha)
 
 
 def _coefficient_slices(seed: int, deg: int):
@@ -130,7 +136,7 @@ def discreteness_certificate(
 
     The coefficients are rng.randint(-COEFF_BOUND, COEFF_BOUND) on CPython's
     Random in phi(alpha_p)-byte samples (_coefficient_slices), all-zero ones
-    skipped; each is certified in integers, and only the least norm is a Fraction.
+    skipped; each is certified in integers, and no Fraction is built.
     """
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
@@ -145,6 +151,5 @@ def discreteness_certificate(
         agree += numerator == deg * squares
         if least is None or numerator < least:
             least = numerator
-    from fractions import Fraction
     return DiscretenessReport(level.p, sample_size, seed, passes, sample_size - passes,
-                              Fraction(least, deg), agree, sample_size - agree)
+                              least, agree, sample_size - agree)

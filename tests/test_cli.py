@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -310,22 +311,57 @@ NOT_TAKEN = [
 ]
 
 
-class TestOptions:
-    @pytest.mark.parametrize("command,option,value", NOT_TAKEN,
-                             ids=[f"{command}-{option}" for command, option, _ in NOT_TAKEN])
-    def test_ignored_option_is_a_usage_error(self, command, option, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, *VALID_ARGS[command], option, value])
-        assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+# Command lines the parser rejects: each option a command does not take, and
+# an ambiguous prefix, a value that is not an int, a missing required option,
+# an unknown command and no command at all.
+BAD_ARGV = {
+    **{f"{command}-{option}": [command, *VALID_ARGS[command], option, value]
+       for command, option, value in NOT_TAKEN},
+    "ambiguous-prefix": ["lattice-check", "--p", "7", "--s", "5"],
+    "not-an-int": ["lattice-check", "--p", "x"],
+    "missing-required": ["lattice-check", "--samples", "5"],
+    "unknown-command": ["decide-everything", "--p", "7"],
+    "no-command": [],
+}
 
-    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
-    def test_help_lists_the_options_the_command_reads(self, command, capsys):
+# Spellings of lattice-check --p 7 --samples 5: --opt=value, a unique prefix,
+# and a later occurrence that overrides an earlier one.
+SPELLINGS = {
+    "equals-sign": ["lattice-check", "--p", "7", "--samples=5"],
+    "prefix": ["lattice-check", "--p", "7", "--sam", "5"],
+    "last-wins": ["lattice-check", "--samples", "9", "--p=7", "--samples", "5"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV)
+    def test_ignored_option_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"rtfinite( [a-z-]+)?: error: .+\n", err)
+
+    @pytest.mark.parametrize("command", [*sorted(COMMAND_OPTIONS), None])
+    def test_help_lists_the_options_the_command_reads(self, command, capsys):
+        # without a command, the help lists every command and no option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
         assert exc.value.code == EXIT_OK
-        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-        assert listed == COMMAND_OPTIONS[command] | {"--help"}
+        out = capsys.readouterr().out
+        listed = set(re.findall(r"--[a-z][a-z-]*", out))
+        assert listed == COMMAND_OPTIONS.get(command, set()) | {"--help"}
+        assert command or all(name in out for name in COMMAND_OPTIONS)
+
+    @pytest.mark.parametrize("argv", SPELLINGS.values(), ids=SPELLINGS)
+    def test_option_spellings_agree(self, argv):
+        assert run(argv) == run(["lattice-check", "--p", "7", "--samples", "5"])
+
+    def test_negative_int_is_a_value(self, capsys):
+        # --c -1 reaches the library, which rejects the color
+        assert run(["decide-torus", "--r", "7", "--c", "-1"]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 class TestIOError:
@@ -367,6 +403,29 @@ def test_cli_import_leaves_json_out():
 @pytest.mark.parametrize("module", ["fractions", "decimal"])
 def test_cli_import_leaves_the_rational_numbers_out(module):
     assert not _imported_by_cli(module)
+
+
+# the option table needs neither argparse nor its gettext and locale lookups,
+# and csv is imported by the csv writer alone
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale", "csv"])
+def test_cli_import_leaves_argparse_and_csv_out(module):
+    assert not _imported_by_cli(module)
+
+
+def test_cold_lattice_check_imports_no_parser_or_rational_numbers():
+    # the __main__ block, with main() reading sys.argv
+    src = str(Path(rtfinite.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rtfinite.cli", "lattice-check",
+         "--p", "7", "--samples", "2000", "--seed", "4"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK
+    assert hashlib.sha256(done.stdout).hexdigest()[:16] == "0690e20942fb26b9"
+    imported = {line.rsplit(b"|", 1)[-1].strip().decode()
+                for line in done.stderr.splitlines() if line.startswith(b"import time:")}
+    assert "rtfinite.lattice" in imported
+    assert not imported & {"argparse", "fractions", "decimal", "_decimal", "csv", "_csv"}
 
 
 # dataclasses imports inspect, dis, ast and tokenize: the records are named

@@ -191,6 +191,7 @@ class TestDiscretenessCertificate:
         level = LevelContext.at(10)
         report = discreteness_certificate(level, 100, seed=2)
         assert report.min_norm_sq * level.phi_alpha >= 1
+        assert report.min_norm_sq == Fraction(report.min_phi_norm_sq, level.phi_alpha)
 
     def test_deterministic_for_seed(self):
         level = LevelContext.at(14)
@@ -330,7 +331,7 @@ def _fraction_certificate(level: LevelContext, sample_size: int, seed: int = 0):
         seed=seed,
         integrality_passes=passes,
         integrality_failures=failures,
-        min_norm_sq=min_norm,
+        min_phi_norm_sq=min_norm * level.phi_alpha,
         formula_agreements=agree,
         formula_disagreements=disagree,
     )
