@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import chain
 from math import gcd
 from types import SimpleNamespace
 from typing import Optional
@@ -25,9 +24,11 @@ from .errors import InvariantViolation, UsageError
 from .lattice import discreteness_certificate
 from .positivity import (
     Crosscheck,
+    Finiteness,
     FinitenessVerdict,
     decide_closed,
     decide_torus,
+    decide_torus_level,
 )
 
 EXIT_OK = 0
@@ -50,47 +51,43 @@ def check_limit(name: str, value: int, limit: int):
         raise UsageError(f"{name} = {value} is above the limit of {limit}")
 
 
-def _witness_dict(verdict: FinitenessVerdict, with_text: bool) -> Optional[dict]:
-    """The record's witness; its ratio_text is the ratio symbol when with_text
-    is set, and None otherwise (the csv format does not print it)."""
-    report = verdict.report
-    if report.witness is None:
-        return None
-    k, ratio_id = report.witness
-    text = None
-    if with_text and isinstance(ratio_id, tuple):
-        from .bases import AdmissibleTriple, theta_norm_ratio
-
-        text = str(theta_norm_ratio(report.level, AdmissibleTriple(*ratio_id)).value)
-    elif with_text and report.torus_c is not None:
-        text = str(lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id).value)
-    return {"k": k, "ratio_index": ratio_id if isinstance(ratio_id, int) else list(ratio_id),
-            "ratio_text": text}
-
-
-def _record(parameters: dict, verdict: FinitenessVerdict, dimension: Optional[int],
-            with_text: bool) -> dict:
-    """The JSON object of one verdict; _timed stamps its timing_s."""
-    return {
-        "parameters": parameters,
-        "verdict": verdict.verdict.value,
-        "provenance": verdict.provenance.value,
-        "witness": _witness_dict(verdict, with_text),
-        "clause": verdict.clause,
-        "crosscheck": verdict.crosscheck.value,
-        "dimension": dimension,
-        "timing_s": 0.0,
-    }
-
-
-def _torus_record(r: int, c: int, p_choice: str, with_text: bool) -> dict:
-    verdict = decide_torus(r, c, p_choice)
-    parameters = {"command": "decide-torus", "r": r, "c": c, "p": verdict.report.level.p}
-    return _record(parameters, verdict, r - 1 - 2 * c, with_text)
+def _torus_records(verdicts: list[FinitenessVerdict], with_text: bool) -> list[dict]:
+    """The untimed records of one level's one-holed-torus verdicts, with ratio_text
+    only when with_text is set; each enum value is read once per level."""
+    level, records = verdicts[0].report.level, []
+    finite, infinite = Finiteness.FINITE.value, Finiteness.INFINITE.value
+    crosscheck = {member: member.value for member in Crosscheck}
+    provenance = verdicts[0].provenance.value
+    for verdict in verdicts:
+        w, c, clause = verdict.report.witness, verdict.report.torus_c, verdict.clause
+        if w:
+            text = str(lollipop_ratio_cumulative(level, c, w[1]).value) if with_text else None
+            w = {"k": w[0], "ratio_index": w[1], "ratio_text": text}
+        records.append({
+            "parameters": {"command": "decide-torus", "r": level.r, "c": c, "p": level.p},
+            "verdict": infinite if w else finite, "provenance": provenance, "witness": w,
+            "clause": clause, "crosscheck": crosscheck[verdict.crosscheck],
+            "dimension": level.r - 1 - 2 * c, "timing_s": 0.0})
+    return records
 
 
 def _closed_record(p: int, g: int) -> dict:
-    return _record({"command": "decide-closed", "p": p, "g": g}, decide_closed(p, g), None, True)
+    """The JSON object of decide_closed(p, g); _timed stamps its timing_s."""
+    verdict = decide_closed(p, g)
+    report, witness = verdict.report, None
+    if report.witness is not None:
+        k, ratio_id = report.witness
+        if report.torus_c is None:  # a theta coloring
+            from .bases import AdmissibleTriple, theta_norm_ratio
+            ratio = theta_norm_ratio(report.level, AdmissibleTriple(*ratio_id))
+            ratio_id = list(ratio_id)
+        else:
+            ratio = lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id)
+        witness = {"k": k, "ratio_index": ratio_id, "ratio_text": str(ratio.value)}
+    return {"parameters": {"command": "decide-closed", "p": p, "g": g},
+            "verdict": verdict.verdict.value, "provenance": verdict.provenance.value,
+            "witness": witness, "clause": verdict.clause,
+            "crosscheck": verdict.crosscheck.value, "dimension": None, "timing_s": 0.0}
 
 
 def _timed(record, *args) -> dict:
@@ -103,53 +100,57 @@ def _timed(record, *args) -> dict:
 
 def _scan_prime(r: int, with_text: bool) -> list[dict]:
     """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
-    return [_torus_record(r, c, "2r", with_text) for c in range((r - 1) // 2)]
+    return _torus_records(decide_torus_level(r), with_text)
 
 
-def _write_report(records, fmt: str, out):
-    """Write the report of records to out as the iterable yields them, so
-    that a record need not be held once it is written."""
+def _write_report(levels, fmt: str, out):
+    """Write the report of levels, an iterable of record lists, to out with one
+    write per list as the iterable yields it, so that a list need not be held
+    once it is written."""
     if fmt == "json":
         import json  # here, so that csv and text calls never load it
         # json.dumps(records, indent=2), one record at a time: no string in a
         # record holds a raw newline, so indenting each line indents the record
         sep = "[\n"
-        for rec in records:
-            out.write(sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  "))
-            sep = ",\n"
+        for records in levels:
+            text = ""
+            for rec in records:
+                text += sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  ")
+                sep = ",\n"
+            out.write(text)
         out.write("[]\n" if sep == "[\n" else "\n]\n")
         return
     if fmt == "csv":
-        import csv  # here, so that json and text calls never load it
-        # only the one-holed-torus commands offer csv; None prints as empty
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["r", "c", "dimension", "verdict", "witness_k", "witness_index",
-             "clause", "crosscheck"]
-        )
-        for rec in records:
-            params, w = rec["parameters"], rec["witness"] or {}
-            writer.writerow([
-                params["r"], params["c"], rec["dimension"], rec["verdict"],
-                w.get("k"), w.get("ratio_index"), rec["clause"], rec["crosscheck"],
-            ])
-        return
-    for rec in records:
-        params = " ".join(f"{k}={v}" for k, v in rec["parameters"].items() if k != "command")
-        line = f"{rec['parameters']['command']} {params}: {rec['verdict']}"
-        if rec["clause"] is not None:
-            line += f" [clause {rec['clause']}, crosscheck {rec['crosscheck']}]"
-        w = rec["witness"]
-        if w:
-            line += f" witness k={w['k']} ratio={w['ratio_index']}"
-            if w["ratio_text"]:
-                line += f" ({w['ratio_text']})"
-        out.write(line + "\n")
+        out.write("r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n")
+    line = _csv_row if fmt == "csv" else _text_line
+    for records in levels:
+        out.write("".join(map(line, records)))
+
+
+def _csv_row(rec: dict) -> str:
+    """A one-holed-torus csv row; its ints, words and None (empty) need no quoting."""
+    params, w, clause = rec["parameters"], rec["witness"], rec["clause"]
+    k, j = (w["k"], w["ratio_index"]) if w else ("", "")
+    return (f"{params['r']},{params['c']},{rec['dimension']},{rec['verdict']},"
+            f"{k},{j},{'' if clause is None else clause},{rec['crosscheck']}\n")
+
+
+def _text_line(rec: dict) -> str:
+    params = " ".join(f"{k}={v}" for k, v in rec["parameters"].items() if k != "command")
+    line = f"{rec['parameters']['command']} {params}: {rec['verdict']}"
+    if rec["clause"] is not None:
+        line += f" [clause {rec['clause']}, crosscheck {rec['crosscheck']}]"
+    w = rec["witness"]
+    if w:
+        line += f" witness k={w['k']} ratio={w['ratio_index']}"
+        if w["ratio_text"]:
+            line += f" ({w['ratio_text']})"
+    return line + "\n"
 
 
 def _render(records: list[dict], fmt: str) -> str:
     buf = io.StringIO()
-    _write_report(records, fmt, buf)
+    _write_report([records], fmt, buf)
     return buf.getvalue()
 
 
@@ -185,7 +186,8 @@ def _cmd_decide_torus(args) -> int:
     if args.p_choice == "r" and args.format == "csv":
         # a csv row has no p column to tell it from a p = 2r row
         raise UsageError("--p-choice r prints json or text only, not csv")
-    rec = _timed(_torus_record, args.r, args.c, args.p_choice, args.format != "csv")
+    rec = _timed(lambda: _torus_records([decide_torus(args.r, args.c, args.p_choice)],
+                                        args.format != "csv")[0])
     _emit(_render([rec], args.format), args.out)
     return EXIT_OK
 
@@ -221,10 +223,10 @@ def _cmd_scan(args) -> int:
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 levels = pool.map(_scan_prime, primes, with_text)
-                _write_report(chain.from_iterable(levels), args.format, sink)
+                _write_report(levels, args.format, sink)
         else:
             levels = map(_scan_prime, primes, with_text)
-            _write_report(chain.from_iterable(levels), args.format, sink)
+            _write_report(levels, args.format, sink)
     return EXIT_OK
 
 
@@ -237,7 +239,7 @@ def _cmd_verify_theorem(args) -> int:
     check_limit("--r-max", args.r_max, MAX_SWEEP_R)
     lines = []
     disagreements = 0
-    from .positivity import clause_witness_k, theorem_predicate
+    from .positivity import clause_witness_k
     from .bases import lollipop_ratio_step, lollipop_ratio_two_step
     from .cyclotomic import EmbeddingIndex, Sign
     from .quantum import eval_sign
@@ -246,11 +248,10 @@ def _cmd_verify_theorem(args) -> int:
     witness_misses = []
     for r in primerange(5, args.r_max + 1):
         level = LevelContext.at(2 * r)
-        for c in range((r - 1) // 2):
-            if theorem_predicate(r, c) is None:
-                continue
-            verdict = decide_torus(r, c)
+        for c, verdict in enumerate(decide_torus_level(r)):
             clause = verdict.clause
+            if clause is None:
+                continue
             ok = verdict.crosscheck is Crosscheck.AGREE
             per_clause[clause][0] += 1
             per_clause[clause][1] += ok

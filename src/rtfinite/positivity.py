@@ -115,12 +115,6 @@ def _crosscheck(report: PositivityReport, expected: Finiteness) -> Crosscheck:
     return Crosscheck.DISAGREE
 
 
-def _torus_report(level: LevelContext, c: int) -> PositivityReport:
-    # a lambda, so that _torus_signs is looked up when the matrix is built
-    return PositivityReport(level, lambda: _torus_signs(level, c), _torus_witness(level, c),
-                            torus_c=c)
-
-
 def check_complete_positivity(
     ratios: Sequence[GramRatio], level: LevelContext
 ) -> PositivityReport:
@@ -140,6 +134,12 @@ def check_complete_positivity(
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
+
+
+def _torus_mask(b: int, c: int) -> int:
+    """X of _torus_masks at color c from the parity mask B, every bit kept."""
+    x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
+    return ~x if x & 1 else x
 
 
 def _torus_masks(level: LevelContext, c: int):
@@ -174,25 +174,40 @@ def _torus_masks(level: LevelContext, c: int):
     else:
         ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
         for k in embedding_ks(p):
+            yield k, _torus_mask(qint_sign_values(p, k), c) & ratios
+
+
+def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
+    """The verdict of each color c in cs, whose witness is the lowest set bit
+    (k, j) of its first nonzero X (_torus_masks), or None.  One walk over
+    k = 1, 3, .., r - 2 (2r - k has k's folded step) builds each parity mask
+    once, while a color that needs one is open; a color leaves at its witness.
+    c = 0 (X = 0) and 2c = r - 3 (the sign of [2c+2][c+2][c+1]) read no mask."""
+    p, r = level.p, level.r
+    witnesses = dict.fromkeys(cs)
+    pending = {c: (1 << (r - 1 - 2 * c)) - 2 for c in cs if c and 2 * c != r - 3}
+    one_ratio = r > 3 and (r - 3) // 2 in witnesses
+    for k in range(1, r - 1, 2):
+        if not (pending or one_ratio):
+            break
+        if pending:
             b = qint_sign_values(p, k)
-            x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
-            if x & 1:
-                x = ~x
-            yield k, x & ratios
-
-
-def _torus_witness(level: LevelContext, c: int) -> Optional[tuple[int, int]]:
-    """The first (k, j) in scan order with <u_j>/<u_0> < 0 at k, or None: the
-    lowest set bit of the first nonzero mask, never at c = 0 (_torus_masks),
-    nor after k = r - 2 (p = 2r: 2r - k has k's folded step; p = r: last k)."""
-    if c == 0:
-        return None
-    for k, x in _torus_masks(level, c):
-        if x:
-            return k, (x & -x).bit_length() - 1
-        if k >= level.r - 2:
-            return None
-    return None
+            for c, ratios in list(pending.items()):
+                x = _torus_mask(b, c) & ratios
+                if x:
+                    witnesses[c] = k, (x & -x).bit_length() - 1
+                    del pending[c]
+        if one_ratio and qint_product_negative(p, k, (r - 1, (r + 1) // 2, (r - 1) // 2)):
+            witnesses[(r - 3) // 2], one_ratio = (k, 1), False
+    verdicts = []
+    direct, unchecked = Provenance.DIRECT_COMPUTATION, Crosscheck.NOT_APPLICABLE
+    for c, witness in witnesses.items():
+        # a lambda, so that _torus_signs is looked up when the matrix is built
+        report = PositivityReport(level, lambda c=c: _torus_signs(level, c), witness, c)
+        clause, expected = theorem_predicate(r, c) or (None, None)
+        check = unchecked if clause is None else _crosscheck(report, expected)
+        verdicts.append(FinitenessVerdict(direct, report, clause, check))
+    return verdicts
 
 
 def _torus_signs(level: LevelContext, c: int):
@@ -285,13 +300,13 @@ def decide_torus(r: int, c: int, p_choice: str = "2r") -> FinitenessVerdict:
     """
     level = _torus_level(r, p_choice)
     _check_lollipop_color(level, c)
-    report = _torus_report(level, c)
-    predicted = theorem_predicate(r, c)
-    if predicted is None:
-        return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report)
-    clause, expected = predicted
-    return FinitenessVerdict(Provenance.DIRECT_COMPUTATION, report, clause,
-                             _crosscheck(report, expected))
+    return _torus_verdicts(level, (c,))[0]
+
+
+def decide_torus_level(r: int, p_choice: str = "2r") -> list[FinitenessVerdict]:
+    """decide_torus(r, c, p_choice) for every c in range((r - 1) // 2), in
+    ascending c, from one witness search shared by the whole level."""
+    return _torus_verdicts(_torus_level(r, p_choice), range((r - 1) // 2))
 
 
 def _closed_verdict(provenance, report, r, g) -> FinitenessVerdict:
@@ -328,7 +343,8 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
         if not all(s.value.is_unit for s in steps):
             raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
-        return _closed_verdict(Provenance.DIRECT_COMPUTATION, _torus_report(level, 0), r, g)
+        report = _torus_verdicts(level, (0,))[0].report
+        return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
 
     if r == 3:
         # Every theta coloring; at p = 3 the only one is (0, 0, 0), the unit.
@@ -352,7 +368,7 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
 
     # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
     # the one-holed torus at c = 1 already fails complete positivity.
-    report = _torus_report(level, 1)
+    report = _torus_verdicts(level, (1,))[0].report
     if report.witness is None:
         raise InvariantViolation(
             f"expected a negative one-holed-torus ratio at c=1 for p={p}"

@@ -174,8 +174,11 @@ def qint_product_negative(p: int, k: int, ms) -> int:
     """
     step = min(k % p, -k % p)
     negative = _negative_residues(p)
-    # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
-    return sum(negative[m * step % p] for m in ms) & 1
+    parity = 0
+    for m in ms:
+        # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
+        parity ^= negative[m * step % p]
+    return parity & 1
 
 
 @lru_cache(maxsize=4096)
@@ -192,10 +195,9 @@ def qint_sign_values(p: int, k: int) -> int:
     _TILE_LAPS * p bytes of _residue_tile at m*s, s the folded step, shifted
     down by a multiple of p; a run spans fewer than _TILE_LAPS laps of p.
 
-    The cache holds the masks of every embedding of one level up to
-    r = 4097 (p = 2r has r - 1 of them).  Past that, the least recently
-    used masks are dropped: colors whose witness comes late build theirs
-    again, and no verdict changes.
+    The cache keeps the 4096 most recently used masks, every embedding of a
+    level up to r = 4097, for callers that decide one color at a time; the
+    level walk of positivity._torus_verdicts builds each mask only once.
     """
     n_max = (p if p % 2 else p // 2) - 1
     step = min(k % p, -k % p)

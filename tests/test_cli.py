@@ -406,7 +406,7 @@ def test_cli_import_leaves_the_rational_numbers_out(module):
 
 
 # the option table needs neither argparse nor its gettext and locale lookups,
-# and csv is imported by the csv writer alone
+# and the csv rows are joined by hand
 @pytest.mark.parametrize("module", ["argparse", "gettext", "locale", "csv"])
 def test_cli_import_leaves_argparse_and_csv_out(module):
     assert not _imported_by_cli(module)
@@ -426,6 +426,22 @@ def test_cold_lattice_check_imports_no_parser_or_rational_numbers():
                 for line in done.stderr.splitlines() if line.startswith(b"import time:")}
     assert "rtfinite.lattice" in imported
     assert not imported & {"argparse", "fractions", "decimal", "_decimal", "csv", "_csv"}
+
+
+def test_cold_csv_scan_imports_no_csv_module():
+    # the csv format joins its rows by hand; the report is the anchored one
+    src = str(Path(rtfinite.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rtfinite.cli", "scan",
+         "--r-max", "199", "--format", "csv", "--jobs", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK
+    assert hashlib.sha256(done.stdout).hexdigest()[:16] == "653913b3c14781b5"
+    imported = {line.rsplit(b"|", 1)[-1].strip().decode()
+                for line in done.stderr.splitlines() if line.startswith(b"import time:")}
+    assert "rtfinite.positivity" in imported
+    assert not imported & {"csv", "_csv"}
 
 
 # dataclasses imports inspect, dis, ast and tokenize: the records are named
@@ -462,8 +478,8 @@ class TestSizeLimits:
         def fail(*args):
             raise AssertionError("work started")
 
-        for name in ("decide_torus", "decide_closed", "discreteness_certificate",
-                     "primerange"):
+        for name in ("decide_torus", "decide_torus_level", "decide_closed",
+                     "discreteness_certificate", "primerange"):
             monkeypatch.setattr(cli, name, fail)
         code, out = run(argv)
         assert code == EXIT_USAGE

@@ -1,4 +1,6 @@
+import io
 import math
+from contextlib import redirect_stdout
 from functools import lru_cache
 
 import pytest
@@ -6,6 +8,7 @@ from sympy import primerange
 
 from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
 from rtfinite import context, positivity
+from rtfinite.cli import EXIT_OK, main
 from rtfinite.context import LevelContext, isprime
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from rtfinite.errors import InvariantViolation, UsageError
@@ -16,14 +19,20 @@ from rtfinite.positivity import (
     Provenance,
     _torus_masks,
     _torus_signs,
-    _torus_witness,
+    _torus_verdicts,
     check_complete_positivity,
     decide_closed,
     decide_torus,
+    decide_torus_level,
     clause_witness_k,
     theorem_predicate,
 )
 from rtfinite.quantum import _negative_residues, eval_sign, qint_sign_values
+
+
+def _torus_witness(level, c):
+    """The witness of color c alone, from the witness search of a level."""
+    return _torus_verdicts(level, (c,))[0].report.witness
 
 
 class TestCheckCompletePositivity:
@@ -557,3 +566,68 @@ class TestRecordSemantics:
     def test_records_of_different_colors_differ(self):
         assert decide_torus(97, 5).report != decide_torus(97, 4).report
         assert decide_torus(97, 5) != decide_torus(97, 6)
+
+
+class TestLevelPass:
+    """decide_torus_level decides a whole level from one walk over the
+    embeddings, and decide_torus goes through the same search."""
+
+    @staticmethod
+    def _fields(verdict):
+        report = verdict.report
+        return (verdict.verdict, report.witness, verdict.clause, verdict.crosscheck,
+                report.torus_c, report.level, verdict.provenance)
+
+    @pytest.mark.parametrize("r", list(primerange(3, 500)))
+    def test_equals_the_per_color_decisions(self, r):
+        for p_choice in ("2r", "r"):
+            level = decide_torus_level(r, p_choice)
+            single = [decide_torus(r, c, p_choice) for c in range((r - 1) // 2)]
+            assert [self._fields(v) for v in level] == [self._fields(v) for v in single]
+            assert level == single
+
+    @pytest.mark.parametrize("r,p_choice,expected", [
+        # r = 3 has the one color c = 0, where also 2c = r - 3; r = 5 has two
+        (3, "2r", [(None, 1)]),
+        (3, "r", [(None, 1)]),
+        (5, "2r", [(None, None), (None, 1)]),
+        (5, "r", [(None, None), (None, 1)]),
+        (7, "2r", [(None, None), ((5, 1), 2), (None, 1)]),
+        (7, "r", [(None, None), ((1, 1), 2), (None, 1)]),
+    ])
+    def test_edge_levels(self, r, p_choice, expected):
+        verdicts = decide_torus_level(r, p_choice)
+        assert [(v.report.witness, v.clause) for v in verdicts] == expected
+        assert [v.report.torus_c for v in verdicts] == list(range(len(expected)))
+        assert all(v.crosscheck is Crosscheck.AGREE for v in verdicts if v.clause)
+
+    def test_one_search_for_every_decision(self, monkeypatch):
+        searches = []
+        search = positivity._torus_verdicts
+
+        def record(level, cs):
+            searches.append((level.p, tuple(cs)))
+            return search(level, cs)
+
+        monkeypatch.setattr(positivity, "_torus_verdicts", record)
+        decide_torus(7, 1)
+        decide_torus(7, 2, "r")
+        decide_torus_level(7)
+        decide_closed(14, 1)
+        decide_closed(14, 2)
+        assert searches == [(14, (1,)), (7, (2,)), (14, (0, 1, 2)), (14, (0,)), (14, (1,))]
+
+    def test_usage_errors(self):
+        with pytest.raises(UsageError, match="r must be an odd prime, got 9"):
+            decide_torus_level(9)
+        with pytest.raises(UsageError, match="p_choice must be 'r' or '2r'"):
+            decide_torus_level(7, "3r")
+
+    def test_sweep_builds_each_mask_once(self):
+        # the benchmark's sweep: every mask of a level is built by one walk,
+        # so the cache of qint_sign_values is never hit
+        qint_sign_values.cache_clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["scan", "--r-max", "151", "--format", "csv", "--jobs", "1"]) == EXIT_OK
+        info = qint_sign_values.cache_info()
+        assert (info.misses, info.hits) == (839, 0)
