@@ -239,10 +239,7 @@ def _cmd_verify_theorem(args) -> int:
     check_limit("--r-max", args.r_max, MAX_SWEEP_R)
     lines = []
     disagreements = 0
-    from .positivity import clause_witness_k
-    from .bases import lollipop_ratio_step, lollipop_ratio_two_step
-    from .cyclotomic import EmbeddingIndex, Sign
-    from .quantum import eval_sign
+    from .positivity import clause_witness_k, negative_ratios
 
     per_clause = {1: [0, 0], 2: [0, 0], 3: [0, 0], 4: [0, 0]}
     witness_misses = []
@@ -261,13 +258,12 @@ def _cmd_verify_theorem(args) -> int:
                 continue
             if clause == 1:
                 continue  # a finite clause has no witness
+            # clause 4 claims a negative one-step ratio at k, which exists
+            # exactly when some <u_j>/<u_0> is negative there; clauses 2-3
+            # claim the two-step ratio at i = 0, which is <u_2>/<u_0>
             k = clause_witness_k(r, clause)
-            if clause == 4:
-                ratios = (lollipop_ratio_step(level, c, i) for i in range(r - 2 - 2 * c))
-            else:
-                ratios = (lollipop_ratio_two_step(level, c, 0),)
-            emb = EmbeddingIndex(k, 2 * r)
-            if not any(eval_sign(x.value, emb) is Sign.NEGATIVE for x in ratios):
+            x = negative_ratios(level, k, c)
+            if not (x if clause == 4 else x >> 2 & 1):
                 witness_misses.append((clause, r, c, k))
     for clause in sorted(per_clause):
         total, ok = per_clause[clause]

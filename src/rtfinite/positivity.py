@@ -137,14 +137,14 @@ _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
 
 
 def _torus_mask(b: int, c: int) -> int:
-    """X of _torus_masks at color c from the parity mask B, every bit kept."""
+    """X of negative_ratios at color c from the parity mask B, every bit kept."""
     x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
     return ~x if x & 1 else x
 
 
-def _torus_masks(level: LevelContext, c: int):
-    """Yield (k, X) for the canonical embeddings k, ascending, where bit j
-    of X is set exactly when <u_j>/<u_0> < 0 at k, for 1 <= j <= r-2-2c.
+def negative_ratios(level: LevelContext, k: int, c: int) -> int:
+    """X at embedding k: bit j is set exactly when <u_j>/<u_0> < 0 at k, for
+    1 <= j <= r-2-2c, and every other bit is clear.
 
     The cumulative ratio telescopes to
         [2c+j+1]! [j]! [c+1]! [c]! / ([2c+1]! [c+j+1]! [c+j]!),
@@ -167,22 +167,19 @@ def _torus_masks(level: LevelContext, c: int):
     """
     p, r = level.p, level.r
     if c == 0:
-        yield from ((k, 0) for k in embedding_ks(p))
-    elif 2 * c == r - 3:
-        factors = (2 * c + 2, c + 2, c + 1)
-        yield from ((k, qint_product_negative(p, k, factors) << 1) for k in embedding_ks(p))
-    else:
-        ratios = (1 << (r - 1 - 2 * c)) - 2  # bits 1 .. r-2-2c
-        for k in embedding_ks(p):
-            yield k, _torus_mask(qint_sign_values(p, k), c) & ratios
+        return 0
+    if 2 * c == r - 3:
+        return qint_product_negative(p, k, (2 * c + 2, c + 2, c + 1)) << 1
+    return _torus_mask(qint_sign_values(p, k), c) & ((1 << (r - 1 - 2 * c)) - 2)
 
 
 def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
     """The verdict of each color c in cs, whose witness is the lowest set bit
-    (k, j) of its first nonzero X (_torus_masks), or None.  One walk over
+    (k, j) of its first nonzero X (negative_ratios), or None.  One walk over
     k = 1, 3, .., r - 2 (2r - k has k's folded step) builds each parity mask
     once, while a color that needs one is open; a color leaves at its witness.
-    c = 0 (X = 0) and 2c = r - 3 (the sign of [2c+2][c+2][c+1]) read no mask."""
+    c = 0 never opens (X = 0); the one-ratio color 2c = r - 3 reads its X off
+    negative_ratios, which builds no mask for it."""
     p, r = level.p, level.r
     witnesses = dict.fromkeys(cs)
     pending = {c: (1 << (r - 1 - 2 * c)) - 2 for c in cs if c and 2 * c != r - 3}
@@ -197,7 +194,7 @@ def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
                 if x:
                     witnesses[c] = k, (x & -x).bit_length() - 1
                     del pending[c]
-        if one_ratio and qint_product_negative(p, k, (r - 1, (r + 1) // 2, (r - 1) // 2)):
+        if one_ratio and negative_ratios(level, k, (r - 3) // 2):
             witnesses[(r - 3) // 2], one_ratio = (k, 1), False
     verdicts = []
     direct, unchecked = Provenance.DIRECT_COMPUTATION, Crosscheck.NOT_APPLICABLE
@@ -212,9 +209,10 @@ def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
 
 def _torus_signs(level: LevelContext, c: int):
     """Yield ((k, j), sign of <u_j>/<u_0>) for the lollipop basis at color c,
-    in ascending k, then ascending j >= 1, read off the masks of _torus_masks."""
+    in ascending k, then ascending j >= 1, read off negative_ratios at each k."""
     js = range(1, level.r - 1 - 2 * c)
-    for k, x in _torus_masks(level, c):
+    for k in embedding_ks(level.p):
+        x = negative_ratios(level, k, c)
         for j in js:
             yield (k, j), _PARITY_SIGN[x >> j & 1]
 

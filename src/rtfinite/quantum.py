@@ -196,8 +196,10 @@ def qint_sign_values(p: int, k: int) -> int:
     down by a multiple of p; a run spans fewer than _TILE_LAPS laps of p.
 
     The cache keeps the 4096 most recently used masks, every embedding of a
-    level up to r = 4097, for callers that decide one color at a time; the
-    level walk of positivity._torus_verdicts builds each mask only once.
+    level up to r = 4097.  The level walk of positivity._torus_verdicts builds
+    each mask only once; the hits are callers that read one color at a time:
+    decide_torus per color, and positivity.negative_ratios under a report's
+    entries() and verify-theorem's designated witnesses.
     """
     n_max = (p if p % 2 else p // 2) - 1
     step = min(k % p, -k % p)

@@ -8,10 +8,12 @@ entered its record).  The next three were recorded while the scan still
 rendered its whole report at once and the one-ratio color 2c = r - 3 was
 still read off parity masks.  The three lattice certificates were recorded
 while each coefficient was a call of randint and the norm was the quadratic
-form over the trace table.  The last three, which build parity masks over
+form over the trace table.  The next three, which build parity masks over
 many slices of the residue tile, were recorded while each mask mapped every
-residue through the table one by one.  None may move with a change that
-keeps verdicts, witnesses, report formats and the seeded draws.
+residue through the table one by one.  The last, verify-theorem --r-max
+499, was recorded while it still signed each clause's designated ratios
+symbol by symbol, before it read them off the torus masks.  None may move with a
+change that keeps verdicts, witnesses, report formats and the seeded draws.
 """
 
 import hashlib
@@ -40,12 +42,14 @@ ANCHORS = [
     (["decide-torus", "--r", "1999", "--c", "997"], "68dc8aba38e97d8a"),
     (["decide-torus", "--r", "1999", "--c", "997", "--p-choice", "r"], "da40e8e4ba130d70"),
     (["decide-closed", "--p", "3998", "--g", "3"], "2d4706d1cd87c361"),
+    (["verify-theorem", "--r-max", "499"], "ed416ac495f177a8"),
 ]
 IDS = ["scan-csv", "scan-json", "verify-theorem", "scan-499-csv",
        "decide-torus-1999-c0", "decide-torus-1999-c998", "decide-closed-3998-g1",
        "decide-torus-1999-c0-odd", "scan-499-json", "scan-499-text",
        "decide-torus-1999-c998-odd", "lattice-254", "lattice-86", "lattice-7",
-       "decide-torus-1999-c997", "decide-torus-1999-c997-odd", "decide-closed-3998-g3"]
+       "decide-torus-1999-c997", "decide-torus-1999-c997-odd", "decide-closed-3998-g3",
+       "verify-theorem-499"]
 
 
 @pytest.mark.parametrize("argv,prefix", ANCHORS, ids=IDS)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rtfinite
-from rtfinite import cli, positivity
+from rtfinite import bases, cli, positivity, quantum
 from rtfinite.bases import GramRatio
 from rtfinite.cli import (
     EXIT_INVARIANT,
@@ -261,6 +261,20 @@ class TestVerifyTheoremCommand:
         assert code == EXIT_OK
         # no ratio is negative at the unitary embedding k = 1
         assert "clause-witness misses (reported, not failures): [(4, 13, 2, 1)]\n" in out
+
+    def test_builds_and_signs_no_ratio_symbol(self, monkeypatch):
+        # the designated witnesses are bits of positivity.negative_ratios
+        _, expected = run(["verify-theorem", "--r-max", "97"])
+
+        def fail(*args):
+            raise AssertionError("verify-theorem built or signed a ratio symbol")
+
+        for module, name in ((quantum, "eval_sign"), (bases, "lollipop_ratio_step"),
+                             (bases, "lollipop_ratio_two_step")):
+            monkeypatch.setattr(module, name, fail)
+        code, out = run(["verify-theorem", "--r-max", "97"])
+        assert code == EXIT_OK
+        assert out == expected
 
 
 class TestLatticeCheckCommand:

@@ -17,7 +17,6 @@ from rtfinite.positivity import (
     Finiteness,
     Positivity,
     Provenance,
-    _torus_masks,
     _torus_signs,
     _torus_verdicts,
     check_complete_positivity,
@@ -25,6 +24,7 @@ from rtfinite.positivity import (
     decide_torus,
     decide_torus_level,
     clause_witness_k,
+    negative_ratios,
     theorem_predicate,
 )
 from rtfinite.quantum import _negative_residues, eval_sign, qint_sign_values
@@ -297,6 +297,29 @@ class TestTheoremPredicate:
     def test_clause_witness(self, r, c, clause, expected):
         assert clause_witness_k(r, clause) == expected
 
+    @pytest.mark.parametrize("r", list(primerange(5, 300)))
+    def test_designated_witnesses_match_the_float_sines(self, r):
+        # X at each designated k against the float sign of <u_j>/<u_0>, the
+        # product of the first j one-step ratios, kept as its sign
+        p = 2 * r
+        for c in range((r - 1) // 2):
+            clause = (theorem_predicate(r, c) or (None,))[0]
+            if clause not in (2, 3, 4):
+                continue
+            k = clause_witness_k(r, clause)
+
+            def q(n):
+                return math.sin(2 * math.pi * n * k / p) / math.sin(2 * math.pi * k / p)
+
+            expected, sign = 0, 1.0
+            for j in range(1, r - 1 - 2 * c):
+                step = q(2 * c + j + 1) * q(j) / (q(c + j + 1) * q(c + j))
+                sign = math.copysign(1.0, sign * step)
+                expected |= (sign < 0) << j
+            assert negative_ratios(LevelContext.at(p), k, c) == expected, (r, c, clause)
+            # the clause's claim: a negative one-step ratio (4), or <u_2>/<u_0> (2, 3)
+            assert (expected if clause == 4 else expected >> 2 & 1), (r, c, clause)
+
     @pytest.mark.parametrize("r", list(primerange(5, 98)))
     def test_crosscheck_always_agrees(self, r):
         for c in range((r - 2) // 2 + 1):
@@ -338,8 +361,7 @@ class TestLevelDoubling:
         [k_odd] = [k for k in ((r - 1) // 2, (r + 1) // 2) if k % 2]
         for p, k_unitary in ((2 * r, 1), (r, k_odd)):
             for c in range((r - 1) // 2):
-                masks = dict(_torus_masks(LevelContext.at(p), c))
-                assert masks[k_unitary] == 0, (p, c)
+                assert negative_ratios(LevelContext.at(p), k_unitary, c) == 0, (p, c)
 
 
 class TestDecideClosed:
@@ -429,7 +451,8 @@ class TestMasklessShapes:
     def test_equal_the_general_masks(self, r):
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
             for c in {0, (r - 3) // 2}:
-                assert list(_torus_masks(level, c)) == _general_masks(level, c), (level.p, c)
+                masks = [(k, negative_ratios(level, k, c)) for k in embedding_ks(level.p)]
+                assert masks == _general_masks(level, c), (level.p, c)
 
     @pytest.mark.parametrize("decide,args", [
         (decide_torus, (1999, 998)),
@@ -445,10 +468,10 @@ class TestMasklessShapes:
     @pytest.mark.parametrize("r", [3, 5, 7, 97, 1999])
     def test_c0_visits_no_mask(self, r, monkeypatch):
         # every mask at c = 0 is 0, so the witness search reads none of them
-        def no_masks(level, c):
-            raise AssertionError(f"a mask was read at c = {c}")
+        def no_masks(level, k, c):
+            raise AssertionError(f"a mask was read at k = {k}, c = {c}")
 
-        monkeypatch.setattr(positivity, "_torus_masks", no_masks)
+        monkeypatch.setattr(positivity, "negative_ratios", no_masks)
         for p_choice in ("2r", "r"):
             assert decide_torus(r, 0, p_choice).verdict is Finiteness.FINITE
 
@@ -463,7 +486,9 @@ class TestMasklessShapes:
     def test_one_ratio_matches_the_float_sines(self, r):
         c = (r - 3) // 2
         for p in (2 * r, r):
-            for k, x in _torus_masks(LevelContext.at(p), c):
+            for k in embedding_ks(p):
+                x = negative_ratios(LevelContext.at(p), k, c)
+
                 def q(n):
                     return math.sin(2 * math.pi * n * k / p) / math.sin(2 * math.pi * k / p)
 
@@ -499,8 +524,8 @@ class TestMirroredEmbeddings:
     def test_witnesses_equal_the_full_walk(self, r):
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
             for c in range(1, (r - 1) // 2):
-                full = next(((k, (x & -x).bit_length() - 1)
-                             for k, x in _torus_masks(level, c) if x), None)
+                masks = ((k, negative_ratios(level, k, c)) for k in embedding_ks(level.p))
+                full = next(((k, (x & -x).bit_length() - 1) for k, x in masks if x), None)
                 assert _torus_witness(level, c) == full, (level.p, c)
 
 
