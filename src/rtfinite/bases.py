@@ -7,23 +7,10 @@ orthogonal and absolute norms are never needed.
 """
 
 from itertools import product
-from typing import NamedTuple
 
 from .context import LevelContext
 from .errors import UsageError
 from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, theta_symbol
-
-
-class AdmissibleTriple(NamedTuple):
-    a: int
-    b: int
-    c: int
-
-
-class GramRatio(NamedTuple):
-    """The ratio <numerator> / <denominator> of two diagonal Gram norms."""
-
-    value: QuantumFactored
 
 
 def is_admissible(level: LevelContext, a: int, b: int, c: int) -> bool:
@@ -35,13 +22,9 @@ def is_admissible(level: LevelContext, a: int, b: int, c: int) -> bool:
     return a + b + c <= 2 * level.r - 4  # at p = r, 2p - 4 is the same bound
 
 
-def admissible_triples(level: LevelContext) -> list[AdmissibleTriple]:
+def admissible_triples(level: LevelContext) -> list[tuple[int, int, int]]:
     """All admissible (a, b, c) over the color set, lexicographic."""
-    return [
-        AdmissibleTriple(a, b, c)
-        for a, b, c in product(level.colors, repeat=3)
-        if is_admissible(level, a, b, c)
-    ]
+    return [t for t in product(level.colors, repeat=3) if is_admissible(level, *t)]
 
 
 def _check_lollipop_color(level: LevelContext, c: int):
@@ -49,16 +32,16 @@ def _check_lollipop_color(level: LevelContext, c: int):
         raise UsageError(f"boundary half-color c = {c} out of range for r = {level.r}")
 
 
-def lollipop_ratio_step(level: LevelContext, c: int, i: int) -> GramRatio:
+def lollipop_ratio_step(level: LevelContext, c: int, i: int) -> QuantumFactored:
     """<u_{i+1}, u_{i+1}> / <u_i, u_i> = [2c+i+2][i+1] / ([c+i+2][c+i+1])."""
     _check_lollipop_color(level, c)
     if not 0 <= i <= level.r - 3 - 2 * c:
         raise UsageError(f"step index i = {i} out of range for r = {level.r}, c = {c}")
     factors = ((2 * c + i + 2, 1), (i + 1, 1), (c + i + 2, -1), (c + i + 1, -1))
-    return GramRatio(QuantumFactored.from_factors(1, factors))
+    return QuantumFactored.from_factors(1, factors)
 
 
-def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
+def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> QuantumFactored:
     """<u_{i+2}, u_{i+2}> / <u_i, u_i>, as displayed:
 
     [2c+i+3][2c+i+2][i+2][i+1] / ([c+i+1][c+i+3][c+i+2]^2)
@@ -72,10 +55,10 @@ def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> GramRatio:
         )
     factors = ((2 * c + i + 3, 1), (2 * c + i + 2, 1), (i + 2, 1), (i + 1, 1),
                (c + i + 1, -1), (c + i + 3, -1), (c + i + 2, -2))
-    return GramRatio(QuantumFactored.from_factors(1, factors))
+    return QuantumFactored.from_factors(1, factors)
 
 
-def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:
+def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> QuantumFactored:
     """<u_j, u_j> / <u_0, u_0>, the product of the first j one-step ratios.
 
     The product telescopes to
@@ -84,11 +67,10 @@ def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> GramRatio:
     _check_lollipop_color(level, c)
     if not 1 <= j <= level.r - 2 - 2 * c:
         raise UsageError(f"index j = {j} out of range for r = {level.r}, c = {c}")
-    value = qfactorial_ratio((2 * c + j + 1, j, c + 1, c), (2 * c + 1, c + j + 1, c + j))
-    return GramRatio(value)
+    return qfactorial_ratio((2 * c + j + 1, j, c + 1, c), (2 * c + 1, c + j + 1, c + j))
 
 
-def theta_norm_ratio(level: LevelContext, t: AdmissibleTriple) -> GramRatio:
+def theta_norm_ratio(level: LevelContext, t: tuple[int, int, int]) -> QuantumFactored:
     """Norm of the genus-2 theta-graph vector u_{a,b,c} relative to u_{0,0,0}.
 
     The normalization is pinned by the level's own printed anchor values
@@ -102,8 +84,5 @@ def theta_norm_ratio(level: LevelContext, t: AdmissibleTriple) -> GramRatio:
     theta = theta_symbol(a, b, c)
     den = bracket_color(a) * bracket_color(b) * bracket_color(c)
     if level.is_even_level:
-        value = theta * theta / den
-    else:
-        unsigned = QuantumFactored(abs(theta.unit), theta.factors)
-        value = unsigned / den
-    return GramRatio(value)
+        return theta * theta / den
+    return QuantumFactored(abs(theta.unit), theta.factors) / den

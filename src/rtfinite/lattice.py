@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .context import LevelContext, divisors, mobius
 from .cyclotomic import CyclotomicInteger, reduce
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 # discreteness_certificate draws each coefficient uniformly from
 # [-COEFF_BOUND, COEFF_BOUND]
@@ -134,6 +134,12 @@ def discreteness_certificate(
     is the discreteness statement.  Also tallies where the displayed
     closed form agrees with the exact trace value.
 
+    Each numerator Tr(P * conjugate(P)) is checked against its sharp bound
+    phi(alpha_p): by AM-GM over the phi conjugates |P_i|^2, the trace is at
+    least phi * |N(P)|^(2/phi), and the norm N(P) of a nonzero P is a nonzero
+    integer.  A numerator below it raises InvariantViolation, so a report
+    that is returned counts every sample as an integrality pass.
+
     The coefficients are rng.randint(-COEFF_BOUND, COEFF_BOUND) on CPython's
     Random in phi(alpha_p)-byte samples (_coefficient_slices), all-zero ones
     skipped; each is certified in integers, and no Fraction is built.
@@ -141,15 +147,16 @@ def discreteness_certificate(
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
     deg = level.phi_alpha
-    passes = agree = 0
-    least = None
+    agree, least = 0, None
     nonzero = filter(bytes([COEFF_BOUND] * deg).__ne__, _coefficient_slices(seed, deg))
     for values in islice(nonzero, sample_size):
         squares = sum(values.translate(_SQUARES))
         numerator = _norm_numerator(values, squares, level.alpha_p, COEFF_BOUND)
-        passes += numerator >= 1
+        if numerator < deg:
+            raise InvariantViolation(f"Tr(P * conjugate(P)) = {numerator} is below "
+                                     f"phi(alpha_p) = {deg} at p = {level.p}")
         agree += numerator == deg * squares
         if least is None or numerator < least:
             least = numerator
-    return DiscretenessReport(level.p, sample_size, seed, passes, sample_size - passes,
+    return DiscretenessReport(level.p, sample_size, seed, sample_size, 0,
                               least, agree, sample_size - agree)

@@ -14,18 +14,12 @@ import enum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .bases import (
-    AdmissibleTriple,
-    GramRatio,
-    _check_lollipop_color,
-    admissible_triples,
-    lollipop_ratio_step,
-    theta_norm_ratio,
-)
+from .bases import (_check_lollipop_color, admissible_triples, lollipop_ratio_step,
+                    theta_norm_ratio)
 from .context import LevelContext, isprime
 from .cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
 from .errors import InvariantViolation, UsageError
-from .quantum import eval_sign, qint_product_negative, qint_sign_values
+from .quantum import QuantumFactored, eval_sign, qint_product_negative, qint_sign_values
 
 
 class Positivity(enum.Enum):
@@ -116,7 +110,7 @@ def _crosscheck(report: PositivityReport, expected: Finiteness) -> Crosscheck:
 
 
 def check_complete_positivity(
-    ratios: Sequence[GramRatio], level: LevelContext
+    ratios: Sequence[QuantumFactored], level: LevelContext
 ) -> PositivityReport:
     """Evaluate relative-norm ratios at the canonical embeddings.
 
@@ -127,7 +121,7 @@ def check_complete_positivity(
     def entries():
         for emb in embeddings(level):
             for idx, ratio in enumerate(ratios):
-                yield (emb.k, idx), eval_sign(ratio.value, emb)
+                yield (emb.k, idx), eval_sign(ratio, emb)
 
     witness = next((key for key, s in entries() if s is Sign.NEGATIVE), None)
     return PositivityReport(level, entries, witness)
@@ -338,8 +332,7 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
 
     if g == 1:
         # Closed torus: the c = 0 lollipop ratios all cancel to the unit.
-        steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
-        if not all(s.value.is_unit for s in steps):
+        if not all(lollipop_ratio_step(level, 0, i).is_unit for i in range(r - 2)):
             raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
         report = _torus_verdicts(level, (0,))[0].report
         return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
@@ -351,16 +344,12 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
     if r == 5:
-        triple = AdmissibleTriple(2, 2, 2) if p == 5 else AdmissibleTriple(2, 1, 1)
-        witness_k = 3
-        ratio = theta_norm_ratio(level, triple)
-        s = eval_sign(ratio.value, EmbeddingIndex(witness_k, p))
+        triple = (2, 2, 2) if p == 5 else (2, 1, 1)
+        s = eval_sign(theta_norm_ratio(level, triple), EmbeddingIndex(3, p))
         if s is not Sign.NEGATIVE:
             raise InvariantViolation(
-                f"designated witness {tuple(triple)} at k={witness_k} "
-                f"is not negative at p={p}"
-            )
-        key = (witness_k, tuple(triple))
+                f"designated witness {triple} at k=3 is not negative at p={p}")
+        key = (3, triple)
         report = PositivityReport(level, lambda: [(key, s)], key)
         return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
 
@@ -368,7 +357,5 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
     # the one-holed torus at c = 1 already fails complete positivity.
     report = _torus_verdicts(level, (1,))[0].report
     if report.witness is None:
-        raise InvariantViolation(
-            f"expected a negative one-holed-torus ratio at c=1 for p={p}"
-        )
+        raise InvariantViolation(f"expected a negative one-holed-torus ratio at c=1 for p={p}")
     return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)

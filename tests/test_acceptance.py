@@ -14,7 +14,6 @@ from fractions import Fraction
 from sympy import primerange
 
 from rtfinite.bases import (
-    AdmissibleTriple,
     lollipop_ratio_step,
     lollipop_ratio_two_step,
     theta_norm_ratio,
@@ -71,7 +70,7 @@ def test_acceptance_02_residue_one_mod_three_infinite(capsys):
             if verdict.verdict is not Finiteness.INFINITE:
                 failures.append((r, c, "verdict"))
             s = eval_sign(
-                lollipop_ratio_two_step(level, c, 0).value, EmbeddingIndex(k, 2 * r)
+                lollipop_ratio_two_step(level, c, 0), EmbeddingIndex(k, 2 * r)
             )
             if s is not Sign.NEGATIVE:
                 failures.append((r, c, f"witness k={k}"))
@@ -104,7 +103,7 @@ def test_acceptance_03_residue_mod_five_infinite(capsys):
             if verdict.verdict is not Finiteness.INFINITE:
                 failures.append((r, c, "verdict"))
             s = eval_sign(
-                lollipop_ratio_two_step(level, c, 0).value, EmbeddingIndex(k, 2 * r)
+                lollipop_ratio_two_step(level, c, 0), EmbeddingIndex(k, 2 * r)
             )
             if s is not Sign.NEGATIVE:
                 witness_misses.append((r, c, k))
@@ -135,7 +134,7 @@ def test_acceptance_04_small_color_infinite(capsys):
                 i
                 for i in range(r - 2 - 2 * c)
                 if eval_sign(
-                    lollipop_ratio_step(level, c, i).value, EmbeddingIndex(3, 2 * r)
+                    lollipop_ratio_step(level, c, i), EmbeddingIndex(3, 2 * r)
                 )
                 is Sign.NEGATIVE
             ]
@@ -163,7 +162,7 @@ def test_acceptance_05_closed_surfaces(capsys):
     v5 = decide_closed(5, 2)
     if v5.report.witness != (3, (2, 2, 2)):
         failures.append(("p=5 witness", v5.report.witness))
-    ratio5 = theta_norm_ratio(LevelContext.at(5), AdmissibleTriple(2, 2, 2)).value
+    ratio5 = theta_norm_ratio(LevelContext.at(5), (2, 2, 2))
     if ratio5 != qint(4) / (qint(2) ** 2 * qint(3) ** 2):
         failures.append(("p=5 ratio", str(ratio5)))
     if eval_sign(ratio5, EmbeddingIndex(3, 5)) is not Sign.NEGATIVE:
@@ -171,7 +170,7 @@ def test_acceptance_05_closed_surfaces(capsys):
     v10 = decide_closed(10, 2)
     if v10.report.witness != (3, (2, 1, 1)):
         failures.append(("p=10 witness", v10.report.witness))
-    ratio10 = theta_norm_ratio(LevelContext.at(10), AdmissibleTriple(2, 1, 1)).value
+    ratio10 = theta_norm_ratio(LevelContext.at(10), (2, 1, 1))
     if ratio10 != qint(3) / qint(2) ** 2:
         failures.append(("p=10 ratio", str(ratio10)))
     if eval_sign(ratio10, EmbeddingIndex(3, 10)) is not eval_sign(
@@ -194,10 +193,10 @@ def test_acceptance_06_two_step_identity(capsys):
         level = LevelContext.at(2 * r)
         for c in range((r - 2) // 2 + 1):
             for i in range(r - 3 - 2 * c):
-                two = lollipop_ratio_two_step(level, c, i).value
+                two = lollipop_ratio_two_step(level, c, i)
                 product = (
-                    lollipop_ratio_step(level, c, i).value
-                    * lollipop_ratio_step(level, c, i + 1).value
+                    lollipop_ratio_step(level, c, i)
+                    * lollipop_ratio_step(level, c, i + 1)
                 )
                 if two != product:
                     failures += 1
@@ -217,7 +216,7 @@ def test_acceptance_07_float_oracle(capsys):
         level = LevelContext.at(2 * r)
         for c in range((r - 2) // 2 + 1):
             for i in range(r - 2 - 2 * c):
-                value = lollipop_ratio_step(level, c, i).value
+                value = lollipop_ratio_step(level, c, i)
                 for emb in embeddings(level):
                     approx = value.evaluate(emb)
                     if abs(approx) <= 1e-9:
@@ -296,7 +295,7 @@ def test_acceptance_10_genus_one_baseline(capsys):
         for p in (r, 2 * r):
             level = LevelContext.at(p)
             steps = [lollipop_ratio_step(level, 0, i) for i in range(r - 2)]
-            if not all(s.value.is_unit for s in steps):
+            if not all(s.is_unit for s in steps):
                 failures.append((p, "non-unit ratio"))
             report_verdict = decide_closed(p, 1).report.verdict
             if report_verdict is not Positivity.COMPLETELY_POSITIVE:

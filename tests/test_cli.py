@@ -8,12 +8,12 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import rtfinite
-from rtfinite import bases, cli, positivity, quantum
-from rtfinite.bases import GramRatio
+from rtfinite import bases, cli, context, positivity, quantum
 from rtfinite.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -27,6 +27,7 @@ from rtfinite.cli import (
     main,
     scan_workers,
 )
+from rtfinite.context import primerange
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import qint
 
@@ -164,6 +165,15 @@ class TestScanCommand:
         code, _ = run(["scan", "--r-max", "3"])
         assert code == EXIT_USAGE
 
+    def test_csv_sweep_to_1999_is_pinned(self):
+        # the report scan --r-max 1999 --format csv would print, were
+        # MAX_SWEEP_R above 1999; it is hashed as it is written, not held
+        digest = hashlib.sha256()
+        sink = SimpleNamespace(write=lambda text: digest.update(text.encode()))
+        levels = (cli._scan_prime(r, False) for r in primerange(5, 2000))
+        cli._write_report(levels, "csv", sink)
+        assert digest.hexdigest()[:16] == "70c4abeeac921adb"
+
 
 class TestScanWorkers:
     # pure function: no pool is started here
@@ -203,7 +213,7 @@ class TestInvariantViolation:
         # [5] vanishes at every embedding of p = 5, so the theta witness of
         # decide-closed --p 5 --g 2 meets it in a denominator
         monkeypatch.setattr(positivity, "theta_norm_ratio",
-                            lambda level, t: GramRatio(qint(1) / qint(5)))
+                            lambda level, t: qint(1) / qint(5))
         code, out = run(["decide-closed", "--p", "5", "--g", "2"])
         assert code == EXIT_INVARIANT
         assert out == ""
@@ -372,6 +382,23 @@ class TestOptions:
     def test_option_spellings_agree(self, argv):
         assert run(argv) == run(["lattice-check", "--p", "7", "--samples", "5"])
 
+    @pytest.mark.parametrize("command,option", [
+        ("lattice-check", "--seed"), ("decide-torus", "--r"), ("lattice-check", "--p")],
+        ids=["seed", "r", "p"])
+    def test_int_past_the_conversion_limit_is_an_invalid_value(self, command, option, capsys):
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        huge = "9" * 5000
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *VALID_ARGS[command], option, huge])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"rtfinite {command}: error: argument {option}: invalid value: {huge!r}\n")
+
     def test_negative_int_is_a_value(self, capsys):
         # --c -1 reaches the library, which rejects the color
         assert run(["decide-torus", "--r", "7", "--c", "-1"]) == (EXIT_USAGE, "")
@@ -500,6 +527,25 @@ class TestSizeLimits:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "above the limit" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["decide-closed", "--p", str(2**4423 - 1), "--g", "2"],  # a 1332-digit prime
+        ["decide-closed", "--p", str(2 * MAX_LEVEL_R + 1), "--g", "2"],
+        ["lattice-check", "--p", str(2**4423 - 1)],
+        ["lattice-check", "--p", str(2 * MAX_LATTICE_PHI + 3)],
+    ], ids=["decide-closed-huge", "decide-closed-bound", "lattice-check-huge",
+            "lattice-check-bound"])
+    def test_p_rejected_before_any_primality_test(self, argv, monkeypatch, capsys):
+        # p <= 2r bounds r, and phi(alpha_p) >= r - 1 bounds phi(alpha_p)
+        def fail(*args):
+            raise AssertionError("a primality test started")
+
+        monkeypatch.setattr(context, "isprime", fail)
+        code, out = run(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --p = ") and "above the limit" in err
         assert err.count("\n") == 1
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtfinite import lattice
-from rtfinite.cli import EXIT_OK, main
+from rtfinite.cli import EXIT_INVARIANT, EXIT_OK, main
 from rtfinite.context import LevelContext, alpha, totient
 from rtfinite.cyclotomic import (
     CyclotomicInteger,
@@ -20,7 +20,7 @@ from rtfinite.cyclotomic import (
     reduce,
     trace_table,
 )
-from rtfinite.errors import UsageError
+from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.lattice import (
     COEFF_BOUND,
     discreteness_certificate,
@@ -180,6 +180,25 @@ class TestNaiveNormFormula:
 
 
 class TestDiscretenessCertificate:
+    @pytest.mark.parametrize("p", [7, 10, 254])
+    def test_the_unit_meets_the_sharp_bound(self, p):
+        # Tr(1 * conjugate(1)) = phi(alpha_p), the least numerator there is
+        level = LevelContext.at(p)
+        one = bytes([COEFF_BOUND + 1]) + bytes([COEFF_BOUND] * (level.phi_alpha - 1))
+        assert lattice._norm_numerator(one, 1, level.alpha_p, COEFF_BOUND) == level.phi_alpha
+
+    def test_a_numerator_below_phi_is_an_invariant_violation(self, monkeypatch, capsys):
+        level = LevelContext.at(10)
+        monkeypatch.setattr(lattice, "_norm_numerator", lambda *args: level.phi_alpha - 1)
+        with pytest.raises(InvariantViolation, match="below phi"):
+            discreteness_certificate(level, 5, seed=1)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["lattice-check", "--p", "10", "--samples", "5"])
+        assert (code, out.getvalue()) == (EXIT_INVARIANT, "")
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: ") and err.count("\n") == 1
+
     def test_all_integrality_passes(self):
         for p in (7, 10):
             level = LevelContext.at(p)

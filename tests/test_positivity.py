@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from sympy import primerange
 
-from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio, AdmissibleTriple
+from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio
 from rtfinite import context, positivity
 from rtfinite.cli import EXIT_OK, main
 from rtfinite.context import LevelContext, isprime
@@ -54,7 +54,7 @@ class TestCheckCompletePositivity:
     def test_theta_p5_not_positive(self):
         level = LevelContext.at(5)
         ratios = [
-            theta_norm_ratio(level, AdmissibleTriple(2, 2, 2)),
+            theta_norm_ratio(level, (2, 2, 2)),
         ]
         report = check_complete_positivity(ratios, level)
         assert report.verdict is Positivity.NOT_COMPLETELY_POSITIVE
@@ -115,7 +115,7 @@ class TestDecideTorus:
             level = LevelContext.at(2 * r)
             sign_matrix = dict(_torus_signs(level, c))
             for j in range(1, r - 1 - 2 * c):
-                value = lollipop_ratio_cumulative(level, c, j).value
+                value = lollipop_ratio_cumulative(level, c, j)
                 for emb in embeddings(level):
                     assert sign_matrix[(emb.k, j)] is eval_sign(value, emb)
 
@@ -124,7 +124,7 @@ class TestDecideTorus:
         for r, c in ((7, 1), (11, 4), (13, 1)):
             level = LevelContext.at(2 * r)
             for j in range(1, r - 1 - 2 * c):
-                value = lollipop_ratio_cumulative(level, c, j).value
+                value = lollipop_ratio_cumulative(level, c, j)
                 for emb in embeddings(level):
                     mirrored = EmbeddingIndex(2 * level.p - emb.k, level.p)
                     assert eval_sign(value, emb) is eval_sign(value, mirrored)
@@ -135,7 +135,7 @@ class TestDecideTorus:
         for emb in embeddings(level):
             running = Sign.POSITIVE
             for j in range(1, 11 - 1 - 2):
-                step = eval_sign(lollipop_ratio_step(level, 1, j - 1).value, emb)
+                step = eval_sign(lollipop_ratio_step(level, 1, j - 1), emb)
                 running = running * step
                 assert sign_matrix[(emb.k, j)] is running
 
@@ -156,7 +156,7 @@ class TestSignEngine:
                 assert len(sign_matrix) == len(embs) * (r - 2 - 2 * c)
                 assert list(sign_matrix) == sorted(sign_matrix)
                 for j in range(1, r - 1 - 2 * c):
-                    value = lollipop_ratio_cumulative(level, c, j).value
+                    value = lollipop_ratio_cumulative(level, c, j)
                     for emb in embs:
                         assert sign_matrix[(emb.k, j)] is eval_sign(value, emb), (
                             level.p, c, j, emb.k)
