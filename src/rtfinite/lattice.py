@@ -99,8 +99,6 @@ class DiscretenessReport(NamedTuple):
     level_p: int
     samples: int
     seed: int
-    integrality_passes: int
-    integrality_failures: int
     min_phi_norm_sq: int  # phi(alpha_p) * the least norm^2 sampled, an integer
     formula_agreements: int
     formula_disagreements: int
@@ -137,8 +135,8 @@ def discreteness_certificate(
     Each numerator Tr(P * conjugate(P)) is checked against its sharp bound
     phi(alpha_p): by AM-GM over the phi conjugates |P_i|^2, the trace is at
     least phi * |N(P)|^(2/phi), and the norm N(P) of a nonzero P is a nonzero
-    integer.  A numerator below it raises InvariantViolation, so a report
-    that is returned counts every sample as an integrality pass.
+    integer.  A numerator below it raises InvariantViolation, so every
+    sample of a report that is returned passed integrality.
 
     The coefficients are rng.randint(-COEFF_BOUND, COEFF_BOUND) on CPython's
     Random in phi(alpha_p)-byte samples (_coefficient_slices), all-zero ones
@@ -158,5 +156,4 @@ def discreteness_certificate(
         agree += numerator == deg * squares
         if least is None or numerator < least:
             least = numerator
-    return DiscretenessReport(level.p, sample_size, seed, sample_size, 0,
-                              least, agree, sample_size - agree)
+    return DiscretenessReport(level.p, sample_size, seed, least, agree, sample_size - agree)

@@ -130,12 +130,6 @@ def check_complete_positivity(
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
 
 
-def _torus_mask(b: int, c: int) -> int:
-    """X of negative_ratios at color c from the parity mask B, every bit kept."""
-    x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
-    return ~x if x & 1 else x
-
-
 def negative_ratios(level: LevelContext, k: int, c: int) -> int:
     """X at embedding k: bit j is set exactly when <u_j>/<u_0> < 0 at k, for
     1 <= j <= r-2-2c, and every other bit is clear.
@@ -164,32 +158,30 @@ def negative_ratios(level: LevelContext, k: int, c: int) -> int:
         return 0
     if 2 * c == r - 3:
         return qint_product_negative(p, k, (2 * c + 2, c + 2, c + 1)) << 1
-    return _torus_mask(qint_sign_values(p, k), c) & ((1 << (r - 1 - 2 * c)) - 2)
+    b = qint_sign_values(p, k)
+    x = (b >> (2 * c + 1)) ^ b ^ (b >> (c + 1)) ^ (b >> c)
+    return (~x if x & 1 else x) & ((1 << (r - 1 - 2 * c)) - 2)
 
 
 def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
     """The verdict of each color c in cs, whose witness is the lowest set bit
     (k, j) of its first nonzero X (negative_ratios), or None.  One walk over
-    k = 1, 3, .., r - 2 (2r - k has k's folded step) builds each parity mask
-    once, while a color that needs one is open; a color leaves at its witness.
-    c = 0 never opens (X = 0); the one-ratio color 2c = r - 3 reads its X off
-    negative_ratios, which builds no mask for it."""
-    p, r = level.p, level.r
+    k = 1, 3, .., r - 2 (2r - k has k's folded step) reads X at k for every
+    color still open; a color leaves at its witness.  c = 0 never opens
+    (X = 0).  The open colors ask negative_ratios for the same (p, k) in turn,
+    so the first one that needs the parity mask builds it and the cache of
+    qint_sign_values serves it to the rest."""
+    r = level.r
     witnesses = dict.fromkeys(cs)
-    pending = {c: (1 << (r - 1 - 2 * c)) - 2 for c in cs if c and 2 * c != r - 3}
-    one_ratio = r > 3 and (r - 3) // 2 in witnesses
+    colors = [c for c in witnesses if c]
     for k in range(1, r - 1, 2):
-        if not (pending or one_ratio):
+        if not colors:
             break
-        if pending:
-            b = qint_sign_values(p, k)
-            for c, ratios in list(pending.items()):
-                x = _torus_mask(b, c) & ratios
-                if x:
-                    witnesses[c] = k, (x & -x).bit_length() - 1
-                    del pending[c]
-        if one_ratio and negative_ratios(level, k, (r - 3) // 2):
-            witnesses[(r - 3) // 2], one_ratio = (k, 1), False
+        for c in colors:
+            x = negative_ratios(level, k, c)
+            if x:
+                witnesses[c] = k, (x & -x).bit_length() - 1
+        colors = [c for c in colors if witnesses[c] is None]
     verdicts = []
     direct, unchecked = Provenance.DIRECT_COMPUTATION, Crosscheck.NOT_APPLICABLE
     for c, witness in witnesses.items():

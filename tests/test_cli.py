@@ -190,6 +190,11 @@ class TestScanWorkers:
         with pytest.raises(UsageError):
             scan_workers(jobs, 2, 10)
 
+    def test_default_is_one_process(self):
+        # a pool is slower than one process on the sweeps a command line admits
+        _, args = cli.parse_args(["scan", "--r-max", "7"])
+        assert args.jobs == 1
+
     def test_below_one_exits_with_usage(self, capsys):
         code, out = run(["scan", "--r-max", "7", "--jobs", "0"])
         assert code == EXIT_USAGE

@@ -200,11 +200,12 @@ class TestDiscretenessCertificate:
         assert err.startswith("invariant violation: ") and err.count("\n") == 1
 
     def test_all_integrality_passes(self):
+        # a sample below the bound raises, so a returned report passed them all
         for p in (7, 10):
             level = LevelContext.at(p)
             report = discreteness_certificate(level, 50, seed=1)
-            assert report.integrality_failures == 0
-            assert report.integrality_passes == 50
+            assert report.samples == 50
+            assert report == _fraction_certificate(level, 50, seed=1)
 
     def test_min_norm_bounded_below(self):
         level = LevelContext.at(10)
@@ -344,12 +345,12 @@ def _fraction_certificate(level: LevelContext, sample_size: int, seed: int = 0):
             disagree += 1
         if min_norm is None or norm < min_norm:
             min_norm = norm
+    # the report has no integrality counts: every sample must pass
+    assert (passes, failures) == (sample_size, 0)
     return lattice.DiscretenessReport(
         level_p=level.p,
         samples=sample_size,
         seed=seed,
-        integrality_passes=passes,
-        integrality_failures=failures,
         min_phi_norm_sq=min_norm * level.phi_alpha,
         formula_agreements=agree,
         formula_disagreements=disagree,

@@ -88,6 +88,22 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def test_every_private_module_level_definition_is_read():
+    # a private function or class that no module of the package reads, by name
+    # or as an attribute, is left over from code that is gone
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in read]
+    assert unread == []
+
+
 def test_every_parameter_is_read():
     # a parameter the body never reads is an input no caller can vary
     unread = []

@@ -649,10 +649,18 @@ class TestLevelPass:
             decide_torus_level(7, "3r")
 
     def test_sweep_builds_each_mask_once(self):
-        # the benchmark's sweep: every mask of a level is built by one walk,
-        # so the cache of qint_sign_values is never hit
+        # the benchmark's sweep: the first open color at k builds its mask, and
+        # the cache of qint_sign_values serves it to the other open colors
         qint_sign_values.cache_clear()
         with redirect_stdout(io.StringIO()):
             assert main(["scan", "--r-max", "151", "--format", "csv", "--jobs", "1"]) == EXIT_OK
-        info = qint_sign_values.cache_info()
-        assert (info.misses, info.hits) == (839, 0)
+        assert qint_sign_values.cache_info().misses == 839
+
+    @pytest.mark.parametrize("r", [3, 5])
+    @pytest.mark.parametrize("p_choice", ["2r", "r"])
+    def test_maskless_levels_build_no_mask(self, r, p_choice):
+        # every color of these levels is c = 0 or 2c = r - 3, the two shapes
+        # negative_ratios reads without a parity mask
+        qint_sign_values.cache_clear()
+        decide_torus_level(r, p_choice)
+        assert qint_sign_values.cache_info().misses == 0
