@@ -100,11 +100,8 @@ def level_prime(p: int) -> int:
 
 
 def alpha(p: int) -> int:
-    """The order alpha_p: p itself when p = 3 (mod 4), otherwise 4r."""
-    r = level_prime(p)
-    if p % 4 == 3:
-        return p
-    return 4 * r
+    """The order alpha_p of the level p (see _level_context)."""
+    return LevelContext.at(p).alpha_p
 
 
 class LevelContext(NamedTuple):
@@ -133,7 +130,8 @@ def _level_context(cls, p: int) -> LevelContext:
         colors = range(r - 1)
     else:
         colors = range(0, p - 2, 2)
-    a = alpha(p)
+    # alpha_p: p itself when p = 3 (mod 4), otherwise 4r
+    a = p if p % 4 == 3 else 4 * r
     return cls(
         p=p,
         r=r,

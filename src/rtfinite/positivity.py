@@ -12,7 +12,7 @@ clauses of the one-holed-torus theorem.
 
 import enum
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bases import (_check_lollipop_color, admissible_triples, lollipop_ratio_step,
                     theta_norm_ratio)
@@ -47,31 +47,19 @@ class PositivityReport(NamedTuple):
     """Witness and the sign entries that lead to it.
 
     The witness is the first (embedding k, ratio id) in scan order at which
-    a ratio is negative, or None; the verdict is read off it.  entries()
-    yields every ((k, ratio id), Sign) in scan order (ascending k, then
-    ratio).  sign_matrix maps the keys to their signs, built from entries()
-    on each access: every entry when there is no witness, otherwise the
-    entries up to and including the witness.  torus_c is the color of a
-    one-holed-torus report, whose ratio ids are lollipop indices j.
-    Reports compare and hash without entries, a fresh callable per report.
+    a ratio is negative, or None; the verdict is read off it.  sign_matrix
+    maps each (k, ratio id) in scan order (ascending k, then ratio) to its
+    Sign: every entry when there is no witness, otherwise the entries up to
+    and including the witness.  A symbol scan stores those ((k, ratio id),
+    Sign) pairs as entries.  torus_c is the color of a one-holed-torus
+    report, whose ratio ids are lollipop indices j; it stores no entries,
+    and sign_matrix reads them through _torus_signs on each access.
     """
 
     level: LevelContext
-    entries: Callable[[], Iterable[tuple[tuple, Sign]]]
     witness: Optional[tuple] = None
     torus_c: Optional[int] = None
-
-    def _key(self) -> tuple:
-        return self.level, self.witness, self.torus_c
-
-    def __eq__(self, other):
-        return isinstance(other, PositivityReport) and self._key() == other._key()
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self._key())
+    entries: tuple = ()
 
     @property
     def verdict(self) -> Positivity:
@@ -81,8 +69,10 @@ class PositivityReport(NamedTuple):
 
     @property
     def sign_matrix(self) -> dict:
+        if self.torus_c is None:
+            return dict(self.entries)
         sign_matrix = {}
-        for key, s in self.entries():
+        for key, s in _torus_signs(self.level, self.torus_c):
             sign_matrix[key] = s
             if s is Sign.NEGATIVE:
                 break
@@ -90,23 +80,24 @@ class PositivityReport(NamedTuple):
 
 
 class FinitenessVerdict(NamedTuple):
-    """The image is finite exactly when the report has no witness."""
+    """The image is finite exactly when the report has no witness.  expected
+    is what the matching clause or the closed-surface rule predicts, or None;
+    crosscheck compares it with the verdict."""
 
     provenance: Provenance
     report: PositivityReport
     clause: Optional[int] = None
-    crosscheck: Crosscheck = Crosscheck.NOT_APPLICABLE
+    expected: Optional[Finiteness] = None
 
     @property
     def verdict(self) -> Finiteness:
         return Finiteness.FINITE if self.report.witness is None else Finiteness.INFINITE
 
-
-def _crosscheck(report: PositivityReport, expected: Finiteness) -> Crosscheck:
-    """AGREE when the report has a witness exactly when expected is INFINITE."""
-    if (report.witness is None) == (expected is Finiteness.FINITE):
-        return Crosscheck.AGREE
-    return Crosscheck.DISAGREE
+    @property
+    def crosscheck(self) -> Crosscheck:
+        if self.expected is None:
+            return Crosscheck.NOT_APPLICABLE
+        return Crosscheck.AGREE if self.expected is self.verdict else Crosscheck.DISAGREE
 
 
 def check_complete_positivity(
@@ -114,17 +105,19 @@ def check_complete_positivity(
 ) -> PositivityReport:
     """Evaluate relative-norm ratios at the canonical embeddings.
 
-    Entries are scanned in ascending k, then ratio list order; the first
-    Negative entry is the witness and ends the scan.  Zero entries are
-    recorded as such; they never occur for admissible data.
+    Entries are scanned in ascending k, then ratio list order, and each is
+    evaluated once; the first Negative entry is the witness and ends the
+    scan.  Zero entries are recorded as such; they never occur for
+    admissible data.
     """
-    def entries():
-        for emb in embeddings(level):
-            for idx, ratio in enumerate(ratios):
-                yield (emb.k, idx), eval_sign(ratio, emb)
-
-    witness = next((key for key, s in entries() if s is Sign.NEGATIVE), None)
-    return PositivityReport(level, entries, witness)
+    entries = []
+    for emb in embeddings(level):
+        for idx, ratio in enumerate(ratios):
+            s = eval_sign(ratio, emb)
+            entries.append(((emb.k, idx), s))
+            if s is Sign.NEGATIVE:
+                return PositivityReport(level, (emb.k, idx), entries=tuple(entries))
+    return PositivityReport(level, entries=tuple(entries))
 
 
 _PARITY_SIGN = (Sign.POSITIVE, Sign.NEGATIVE)
@@ -182,15 +175,10 @@ def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
             if x:
                 witnesses[c] = k, (x & -x).bit_length() - 1
         colors = [c for c in colors if witnesses[c] is None]
-    verdicts = []
-    direct, unchecked = Provenance.DIRECT_COMPUTATION, Crosscheck.NOT_APPLICABLE
-    for c, witness in witnesses.items():
-        # a lambda, so that _torus_signs is looked up when the matrix is built
-        report = PositivityReport(level, lambda c=c: _torus_signs(level, c), witness, c)
-        clause, expected = theorem_predicate(r, c) or (None, None)
-        check = unchecked if clause is None else _crosscheck(report, expected)
-        verdicts.append(FinitenessVerdict(direct, report, clause, check))
-    return verdicts
+    # theorem_predicate gives (clause, expected), or None when no clause matches
+    return [FinitenessVerdict(Provenance.DIRECT_COMPUTATION, PositivityReport(level, witness, c),
+                              *(theorem_predicate(r, c) or ()))
+            for c, witness in witnesses.items()]
 
 
 def _torus_signs(level: LevelContext, c: int):
@@ -293,20 +281,6 @@ def decide_torus_level(r: int, p_choice: str = "2r") -> list[FinitenessVerdict]:
     return _torus_verdicts(_torus_level(r, p_choice), range((r - 1) // 2))
 
 
-def _closed_verdict(provenance, report, r, g) -> FinitenessVerdict:
-    """The verdict of a closed-surface report, cross-checked against the
-    closed-surface rule: finite exactly when g = 1 or r = 3.
-
-    The rule is Funar's closed-surface result (L. Funar, On the TQFT
-    representations of the mapping class groups, Pacific J. Math. 188
-    (1999)), which the source paper re-derives from its sign criterion.
-    The g = 1 half is what the c = 0 one-holed-torus scan computes: every
-    ratio of the closed torus is the unit symbol.
-    """
-    expected = Finiteness.FINITE if g == 1 or r == 3 else Finiteness.INFINITE
-    return FinitenessVerdict(provenance, report, crosscheck=_crosscheck(report, expected))
-
-
 def decide_closed(p: int, g: int) -> FinitenessVerdict:
     """Decide finiteness for the closed surface of genus g at level p.
 
@@ -316,6 +290,11 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
     admissible-coloring norm, r = 5 by the designated genus-2 theta witness
     (embedded by zero-coloring for g >= 3), and r >= 7 through the
     non-complete-positivity of the one-holed torus at boundary color 1.
+
+    The verdict is cross-checked against the closed-surface rule, finite
+    exactly when g = 1 or r = 3: Funar's result (L. Funar, On the TQFT
+    representations of the mapping class groups, Pacific J. Math. 188
+    (1999)), which the source paper re-derives from its sign criterion.
     """
     if g < 1:
         raise UsageError(f"genus must be >= 1, got {g}")
@@ -327,27 +306,25 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
         if not all(lollipop_ratio_step(level, 0, i).is_unit for i in range(r - 2)):
             raise InvariantViolation(f"a c = 0 lollipop step ratio is not 1 at p={p}")
         report = _torus_verdicts(level, (0,))[0].report
-        return _closed_verdict(Provenance.DIRECT_COMPUTATION, report, r, g)
-
-    if r == 3:
+    elif r == 3:
         # Every theta coloring; at p = 3 the only one is (0, 0, 0), the unit.
         ratios = [theta_norm_ratio(level, t) for t in admissible_triples(level)]
         report = check_complete_positivity(ratios, level)
-        return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
-
-    if r == 5:
+    elif r == 5:
         triple = (2, 2, 2) if p == 5 else (2, 1, 1)
         s = eval_sign(theta_norm_ratio(level, triple), EmbeddingIndex(3, p))
         if s is not Sign.NEGATIVE:
             raise InvariantViolation(
                 f"designated witness {triple} at k=3 is not negative at p={p}")
         key = (3, triple)
-        report = PositivityReport(level, lambda: [(key, s)], key)
-        return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
-
-    # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
-    # the one-holed torus at c = 1 already fails complete positivity.
-    report = _torus_verdicts(level, (1,))[0].report
-    if report.witness is None:
-        raise InvariantViolation(f"expected a negative one-holed-torus ratio at c=1 for p={p}")
-    return _closed_verdict(Provenance.CLOSED_SURFACE_RULE, report, r, g)
+        report = PositivityReport(level, key, entries=((key, s),))
+    else:
+        # r >= 7: handle decomposition V_p(S_g) = (+)_c V_p(T^c) (x) V_p(S_{g-1}^c);
+        # the one-holed torus at c = 1 already fails complete positivity.
+        report = _torus_verdicts(level, (1,))[0].report
+        if report.witness is None:
+            raise InvariantViolation(
+                f"expected a negative one-holed-torus ratio at c=1 for p={p}")
+    provenance = Provenance.DIRECT_COMPUTATION if g == 1 else Provenance.CLOSED_SURFACE_RULE
+    expected = Finiteness.FINITE if g == 1 or r == 3 else Finiteness.INFINITE
+    return FinitenessVerdict(provenance, report, expected=expected)

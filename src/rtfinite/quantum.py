@@ -198,9 +198,9 @@ def qint_sign_values(p: int, k: int) -> int:
     The cache keeps the 4096 most recently used masks, every embedding of a
     level up to r = 4097, and is how callers share a mask: the level walk of
     positivity._torus_verdicts asks for (p, k) once per open color in turn,
-    so the first color builds it and the rest hit it.  A report's entries(),
-    verify-theorem's designated witnesses and decide_torus per color read the
-    same masks again.
+    so the first color builds it and the rest hit it.  A torus report's
+    sign_matrix, verify-theorem's designated witnesses and decide_torus per
+    color read the same masks again.
     """
     n_max = (p if p % 2 else p // 2) - 1
     step = min(k % p, -k % p)

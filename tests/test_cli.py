@@ -255,7 +255,7 @@ class TestVerifyTheoremCommand:
         def disagree(p, g):
             verdict = decide(p, g)
             if (p, g) == (10, 2):
-                return verdict._replace(crosscheck=positivity.Crosscheck.DISAGREE)
+                return verdict._replace(expected=positivity.Finiteness.FINITE)
             return verdict
 
         monkeypatch.setattr(cli, "decide_closed", disagree)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtfinite import context
 from rtfinite.context import (
     LevelContext,
     divisors,
@@ -96,6 +97,21 @@ class TestLevelContext:
         assert LevelContext.at(22) is LevelContext.at(22)
         with pytest.raises(UsageError):
             LevelContext.at(9)
+
+    def test_a_new_level_tests_r_once(self, monkeypatch):
+        # level_prime tests r = 151 once; totient(4r) then tests 604 and its
+        # cofactor 151
+        calls = []
+
+        def record(n):
+            calls.append(n)
+            return isprime(n)
+
+        monkeypatch.setattr(context, "isprime", record)
+        context._level_context.cache_clear()
+        totient.cache_clear()
+        assert LevelContext.at(302).alpha_p == 604
+        assert calls == [151, 604, 151]
 
     @pytest.mark.parametrize("p", [2**61 - 1 + 2, 2 * (2**61 + 1), 2 * 561])
     def test_huge_non_level_rejected(self, p):

@@ -104,6 +104,19 @@ def test_every_private_module_level_definition_is_read():
     assert unread == []
 
 
+def test_no_class_defines_its_own_equality():
+    # results are plain values: a class that needs its own __eq__, __ne__ or
+    # __hash__ holds something that does not compare as a value
+    defined = [f"{path.name}:{item.lineno} {node.name}.{item.name}"
+               for path in sorted(PACKAGE_DIR.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and item.name in ("__eq__", "__ne__", "__hash__")]
+    assert defined == []
+
+
 def test_every_parameter_is_read():
     # a parameter the body never reads is an input no caller can vary
     unread = []

@@ -6,7 +6,8 @@ from functools import lru_cache
 import pytest
 from sympy import primerange
 
-from rtfinite.bases import lollipop_ratio_cumulative, lollipop_ratio_step, theta_norm_ratio
+from rtfinite.bases import (admissible_triples, lollipop_ratio_cumulative, lollipop_ratio_step,
+                            theta_norm_ratio)
 from rtfinite import context, positivity
 from rtfinite.cli import EXIT_OK, main
 from rtfinite.context import LevelContext, isprime
@@ -68,6 +69,23 @@ class TestCheckCompletePositivity:
             key for key, s in report.sign_matrix.items() if s is Sign.NEGATIVE
         )
         assert report.witness == negatives[0]
+
+    def test_each_entry_is_evaluated_once(self, monkeypatch):
+        # every theta coloring at p = 10: the witness (3, 6) is entry 27
+        level = LevelContext.at(10)
+        ratios = [theta_norm_ratio(level, t) for t in admissible_triples(level)]
+        assert len(ratios) == 20
+        calls = []
+
+        def record(ratio, emb):
+            calls.append(emb.k)
+            return eval_sign(ratio, emb)
+
+        monkeypatch.setattr(positivity, "eval_sign", record)
+        report = check_complete_positivity(ratios, level)
+        assert len(report.sign_matrix) == 27
+        assert list(report.sign_matrix)[-1] == report.witness == (3, 6)
+        assert len(calls) == 27
 
 
 class TestDecideTorus:
@@ -571,8 +589,8 @@ class TestTorusLevel:
 
 
 class TestRecordSemantics:
-    # a report's entries is a fresh callable per call, so records compare
-    # and hash by every other field
+    # reports and verdicts are plain named tuples, compared and hashed by
+    # every field
     @pytest.mark.parametrize("decide", [
         lambda: decide_torus(97, 5),
         lambda: decide_torus(97, 5).report,
@@ -591,6 +609,19 @@ class TestRecordSemantics:
     def test_records_of_different_colors_differ(self):
         assert decide_torus(97, 5).report != decide_torus(97, 4).report
         assert decide_torus(97, 5) != decide_torus(97, 6)
+
+    @pytest.mark.parametrize("decide,flipped", [
+        (lambda: decide_torus(7, 1), Finiteness.FINITE),
+        (lambda: decide_torus(7, 2), Finiteness.INFINITE),
+        (lambda: decide_closed(10, 2), Finiteness.FINITE),
+        (lambda: decide_closed(14, 1), Finiteness.INFINITE),
+    ], ids=["decide_torus(7, 1)", "decide_torus(7, 2)",
+            "decide_closed(10, 2)", "decide_closed(14, 1)"])
+    def test_crosscheck_is_derived_from_expected(self, decide, flipped):
+        verdict = decide()
+        assert verdict.crosscheck is Crosscheck.AGREE
+        assert verdict._replace(expected=flipped).crosscheck is Crosscheck.DISAGREE
+        assert verdict._replace(expected=None).crosscheck is Crosscheck.NOT_APPLICABLE
 
 
 class TestLevelPass:
