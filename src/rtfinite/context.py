@@ -99,11 +99,6 @@ def level_prime(p: int) -> int:
     raise UsageError(f"p = {p} is not r or 2r for an odd prime r")
 
 
-def alpha(p: int) -> int:
-    """The order alpha_p of the level p (see _level_context)."""
-    return LevelContext.at(p).alpha_p
-
-
 class LevelContext(NamedTuple):
     """Root object for all computations at a fixed level p."""
 

@@ -5,10 +5,12 @@ phi(N); equality of values is equality of vectors.  Coefficients are
 Python integers, so no overflow handling is needed.  A vector of at most
 phi(N) coefficients is its own remainder; only longer ones are divided by
 phi_N.  The field trace reads a cached per-order table of Ramanujan sums.
-The module also provides the Galois embedding bookkeeping (EmbeddingIndex)
-and the pure integer sign function sin_sign that underlies every exact
-sign evaluation in the package: quantum reads the sign of [n] as sin_sign
-at the folded step of the embedding, directly or through its residue table.
+The module also provides the Galois embedding bookkeeping (EmbeddingIndex),
+the three-valued Sign, and the pure integer sign function sin_sign that
+underlies every exact sign evaluation in the package: quantum reads the sign
+of [n] as sin_sign at the folded step of the embedding, directly or through
+its residue table, and the sign of a product as the parity of its negative
+factors.
 """
 
 import cmath
@@ -18,22 +20,16 @@ from functools import lru_cache
 from math import gcd, pi
 from operator import mul
 
-from .context import LevelContext, divisors, mobius, totient
+from .context import divisors, mobius, totient
 from .errors import InvariantViolation, UsageError
 
 
 class Sign(enum.Enum):
-    """The sign of a real number, as a multiplicative monoid with absorbing zero."""
+    """The sign of a real number."""
 
     NEGATIVE = -1
     ZERO = 0
     POSITIVE = 1
-
-    def __mul__(self, other: "Sign") -> "Sign":
-        return Sign(self.value * other.value)
-
-    def __neg__(self) -> "Sign":
-        return Sign(-self.value)
 
 
 def sin_sign(m: int, p: int) -> Sign:
@@ -208,10 +204,6 @@ class EmbeddingIndex(namedtuple("EmbeddingIndex", "k p")):
             raise UsageError(f"k = {k} is not a valid embedding index for p = {p}")
         return super().__new__(cls, k, p)
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.k <= self.p
-
     def root(self) -> complex:
         return cmath.exp(1j * pi * self.k / self.p)
 
@@ -223,7 +215,6 @@ def embedding_ks(p: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1)
 
 
-def embeddings(level) -> list[EmbeddingIndex]:
+def embeddings(p: int) -> list[EmbeddingIndex]:
     """All canonical embedding indices k <= p with gcd(k, 2p) = 1, ascending."""
-    p = level.p if isinstance(level, LevelContext) else int(level)
     return [EmbeddingIndex(k, p) for k in embedding_ks(p)]

@@ -111,7 +111,7 @@ def check_complete_positivity(
     admissible data.
     """
     entries = []
-    for emb in embeddings(level):
+    for emb in embeddings(level.p):
         for idx, ratio in enumerate(ratios):
             s = eval_sign(ratio, emb)
             entries.append(((emb.k, idx), s))

@@ -19,9 +19,9 @@ from .errors import InvariantViolation, UsageError
 class QuantumFactored(NamedTuple):
     """A formal signed product unit * prod [n]^e_n of quantum integers.
 
-    unit is +1 or -1, or 0 for the zero symbol.  factors is sorted by n
-    descending; [1] (the multiplicative unit) and zero exponents are
-    never stored, so equal symbols have equal representations.
+    unit is +1 or -1.  factors is sorted by n descending; [1] (the
+    multiplicative unit) and zero exponents are never stored, so equal
+    symbols have equal representations.
     """
 
     unit: int
@@ -30,10 +30,8 @@ class QuantumFactored(NamedTuple):
     @classmethod
     def from_factors(cls, unit: int, factors) -> "QuantumFactored":
         """Canonical symbol from (n, e) pairs; exponents of a repeated n add up."""
-        if unit == 0:
-            return cls(0, ())
         if unit not in (1, -1):
-            raise InvariantViolation(f"symbol unit must be +1, -1 or 0, got {unit}")
+            raise InvariantViolation(f"symbol unit must be +1 or -1, got {unit}")
         merged: dict[int, int] = {}
         for n, e in factors:
             if n == 1 or e == 0:
@@ -44,23 +42,15 @@ class QuantumFactored(NamedTuple):
         return cls(unit, tuple(sorted(((n, e) for n, e in merged.items() if e), reverse=True)))
 
     @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    @property
     def is_unit(self) -> bool:
-        return self.unit != 0 and not self.factors
+        return not self.factors
 
     def __mul__(self, other: "QuantumFactored") -> "QuantumFactored":
-        if self.is_zero or other.is_zero:
-            return QuantumFactored(0, ())
         return QuantumFactored.from_factors(
             self.unit * other.unit, self.factors + other.factors
         )
 
     def inverse(self) -> "QuantumFactored":
-        if self.is_zero:
-            raise UsageError("cannot invert the zero symbol")
         return QuantumFactored.from_factors(
             self.unit, ((n, -e) for n, e in self.factors)
         )
@@ -69,10 +59,6 @@ class QuantumFactored(NamedTuple):
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "QuantumFactored":
-        if self.is_zero:
-            if e <= 0:
-                raise UsageError("zero symbol to a nonpositive power")
-            return self
         return QuantumFactored.from_factors(
             self.unit if e % 2 else 1, ((n, k * e) for n, k in self.factors)
         )
@@ -81,8 +67,6 @@ class QuantumFactored(NamedTuple):
         return QuantumFactored(-self.unit, self.factors)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         num = "".join(
             f"[{n}]" if e == 1 else f"[{n}]^{e}" for n, e in self.factors if e > 0
         )
@@ -106,15 +90,12 @@ class QuantumFactored(NamedTuple):
 
 
 ONE = QuantumFactored(1, ())
-ZERO = QuantumFactored(0, ())
 
 
 def qint(n: int) -> QuantumFactored:
-    """The symbol [n]; [0] is the zero symbol and [1] the unit."""
-    if n < 0:
-        raise UsageError(f"quantum integer index must be nonnegative, got {n}")
-    if n == 0:
-        return ZERO
+    """The symbol [n], n >= 1; [1] is the unit."""
+    if n < 1:
+        raise UsageError(f"quantum integer index must be positive, got {n}")
     return QuantumFactored.from_factors(1, ((n, 1),))
 
 
@@ -225,15 +206,15 @@ def qint_sign_values(p: int, k: int) -> int:
 
 
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
-    """Sign of a factored symbol at an embedding.
+    """Sign of a factored symbol at an embedding: the parity of the unit -1
+    and of the odd-exponent factors [n] < 0, the rule of the parity masks.
 
-    The sign of [n] is sin_sign(n*s, p) at the folded step s of
-    _negative_residues.  Raises InvariantViolation if a denominator factor
-    vanishes, which ratios built from admissible data never do.
+    [n] < 0 when sin_sign(n*s, p) is negative at the folded step s of
+    _negative_residues.  A vanishing numerator factor makes the sign ZERO;
+    a vanishing denominator factor raises InvariantViolation, which ratios
+    built from admissible data never do.
     """
-    if x.is_zero:
-        return Sign.ZERO
-    result = Sign.POSITIVE if x.unit > 0 else Sign.NEGATIVE
+    parity = x.unit < 0
     step = min(emb.k % emb.p, -emb.k % emb.p)
     zero_in_numerator = False
     for n, e in x.factors:
@@ -244,9 +225,11 @@ def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
                     f"[{n}] vanishes at k={emb.k}, p={emb.p}, in a denominator"
                 )
             zero_in_numerator = True
-        elif e % 2:
-            result = result * s
-    return Sign.ZERO if zero_in_numerator else result
+        elif s is Sign.NEGATIVE:
+            parity ^= e & 1
+    if zero_in_numerator:
+        return Sign.ZERO
+    return Sign.NEGATIVE if parity else Sign.POSITIVE
 
 
 def bracket_color(n: int) -> QuantumFactored:

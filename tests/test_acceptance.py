@@ -217,7 +217,7 @@ def test_acceptance_07_float_oracle(capsys):
         for c in range((r - 2) // 2 + 1):
             for i in range(r - 2 - 2 * c):
                 value = lollipop_ratio_step(level, c, i)
-                for emb in embeddings(level):
+                for emb in embeddings(level.p):
                     approx = value.evaluate(emb)
                     if abs(approx) <= 1e-9:
                         continue

@@ -116,7 +116,7 @@ class TestLollipopRatios:
         # every factor index is <= r - 1 < p, so no quantum integer in a
         # ratio vanishes at any embedding
         level = LevelContext.at(2 * r)
-        embs = embeddings(level)
+        embs = embeddings(level.p)
         for c in range((r - 2) // 2 + 1):
             for i in range(r - 2 - 2 * c):
                 value = lollipop_ratio_step(level, c, i)
@@ -188,7 +188,7 @@ class TestThetaNormRatio:
         # carries the sign of <2> = [3] at every embedding; negative at k = 3
         level = LevelContext.at(10)
         value = theta_norm_ratio(level, (2, 1, 1))
-        for emb in embeddings(level):
+        for emb in embeddings(level.p):
             assert eval_sign(value, emb) is eval_sign(qint(3), emb)
         assert eval_sign(value, EmbeddingIndex(3, 10)) is Sign.NEGATIVE
 

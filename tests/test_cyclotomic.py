@@ -25,7 +25,6 @@ from rtfinite.cyclotomic import (
     sin_sign,
     trace_table,
 )
-from rtfinite.context import LevelContext
 from rtfinite.errors import InvariantViolation, UsageError
 
 ORDERS = [10, 14, 20, 28]
@@ -228,8 +227,8 @@ class TestEmbeddings:
     def test_canonical_sets(self, p, expected):
         assert [e.k for e in embeddings(p)] == expected
 
-    def test_accepts_level_context(self):
-        assert [e.k for e in embeddings(LevelContext.at(5))] == [1, 3]
+    def test_takes_the_level_p(self):
+        assert embeddings(5) == [EmbeddingIndex(1, 5), EmbeddingIndex(3, 5)]
 
     def test_one_tuple_per_level(self):
         # every level p <= 400 of a prime r: the gcd filter, built once
@@ -244,7 +243,7 @@ class TestEmbeddings:
 
     def test_non_canonical_allowed(self):
         e = EmbeddingIndex(7, 5)
-        assert not e.is_canonical
+        assert e.k == 7
 
     @pytest.mark.parametrize("p", [5, 7, 10, 14])
     def test_float_oracle_consistency(self, p):
@@ -281,9 +280,3 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(10) == (1, -1, 1, -1, 1)
     assert cyclotomic_polynomial(20) == (1, 0, -1, 0, 1, 0, -1, 0, 1)
-
-
-def test_sign_monoid():
-    assert Sign.NEGATIVE * Sign.NEGATIVE is Sign.POSITIVE
-    assert Sign.ZERO * Sign.NEGATIVE is Sign.ZERO
-    assert -Sign.POSITIVE is Sign.NEGATIVE

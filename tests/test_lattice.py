@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rtfinite import lattice
 from rtfinite.cli import EXIT_INVARIANT, EXIT_OK, main
-from rtfinite.context import LevelContext, alpha, totient
+from rtfinite.context import LevelContext, totient
 from rtfinite.cyclotomic import (
     CyclotomicInteger,
     _poly_divmod,
@@ -50,7 +50,7 @@ def trace_table_norm(element: CyclotomicInteger, level: LevelContext) -> Fractio
     [(3, 3), (7, 7), (11, 11), (5, 20), (13, 52), (6, 12), (10, 20), (14, 28)],
 )
 def test_alpha(p, expected):
-    assert alpha(p) == expected
+    assert LevelContext.at(p).alpha_p == expected
 
 
 class TestPsiNormSq:

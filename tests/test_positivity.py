@@ -134,7 +134,7 @@ class TestDecideTorus:
             sign_matrix = dict(_torus_signs(level, c))
             for j in range(1, r - 1 - 2 * c):
                 value = lollipop_ratio_cumulative(level, c, j)
-                for emb in embeddings(level):
+                for emb in embeddings(level.p):
                     assert sign_matrix[(emb.k, j)] is eval_sign(value, emb)
 
     def test_conjugation_invariance(self):
@@ -143,19 +143,18 @@ class TestDecideTorus:
             level = LevelContext.at(2 * r)
             for j in range(1, r - 1 - 2 * c):
                 value = lollipop_ratio_cumulative(level, c, j)
-                for emb in embeddings(level):
+                for emb in embeddings(level.p):
                     mirrored = EmbeddingIndex(2 * level.p - emb.k, level.p)
                     assert eval_sign(value, emb) is eval_sign(value, mirrored)
 
     def test_cumulative_multiplicativity(self):
         level = LevelContext.at(22)
         sign_matrix = dict(_torus_signs(level, 1))
-        for emb in embeddings(level):
-            running = Sign.POSITIVE
+        for emb in embeddings(level.p):
+            running = 1
             for j in range(1, 11 - 1 - 2):
-                step = eval_sign(lollipop_ratio_step(level, 1, j - 1), emb)
-                running = running * step
-                assert sign_matrix[(emb.k, j)] is running
+                running *= eval_sign(lollipop_ratio_step(level, 1, j - 1), emb).value
+                assert sign_matrix[(emb.k, j)].value == running
 
 
 def _first_negative(sign_matrix):
@@ -168,7 +167,7 @@ class TestSignEngine:
         # prefix parity over quantum factorials vs the cumulative symbol,
         # at p = 2r and at p = r
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
-            embs = embeddings(level)
+            embs = embeddings(level.p)
             for c in range((r - 2) // 2 + 1):
                 sign_matrix = dict(_torus_signs(level, c))
                 assert len(sign_matrix) == len(embs) * (r - 2 - 2 * c)
@@ -197,7 +196,7 @@ def _seven_term_witness(level, c):
     """First (k, j) with a negative cumulative ratio, one entry at a time from
     the prefix-count parities: the per-entry parity rule the masks replace."""
     r = level.r
-    for emb in embeddings(level):
+    for emb in embeddings(level.p):
         b = qint_sign_values(level.p, emb.k)
         n = [b >> i & 1 for i in range(r)]
         for j in range(1, r - 1 - 2 * c):
@@ -234,7 +233,7 @@ class TestMaskWitness:
         assert closed.report.witness == (5, 1)
         report = verdict.report
         assert report.sign_matrix == dict(_torus_signs(report.level, 0))
-        assert len(report.sign_matrix) == len(embeddings(report.level)) * 95
+        assert len(report.sign_matrix) == len(embeddings(report.level.p)) * 95
         assert list(closed.report.sign_matrix)[-1] == closed.report.witness
 
 
@@ -247,7 +246,7 @@ class TestReportEntries:
             report = verdict.report
             assert report.verdict is Positivity.COMPLETELY_POSITIVE
             dim = r - 1 - 2 * c
-            assert len(report.sign_matrix) == len(embeddings(report.level)) * (dim - 1)
+            assert len(report.sign_matrix) == len(embeddings(report.level.p)) * (dim - 1)
             assert all(s is Sign.POSITIVE for s in report.sign_matrix.values())
 
     @pytest.mark.parametrize("r,c", [(7, 1), (13, 2), (97, 1), (97, 5), (199, 30)])

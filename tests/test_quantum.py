@@ -38,9 +38,6 @@ class TestQuantumFactored:
         assert qint(1) is not None
         assert qint(1).is_unit
 
-    def test_qint_zero(self):
-        assert qint(0).is_zero
-
     def test_formal_product(self):
         x = qint(4) * qint(3)
         assert x.unit == 1
@@ -58,14 +55,13 @@ class TestQuantumFactored:
         value = -(qint(5) * qint(4)) / (qint(3) * qint(3) * qint(2))
         assert str(value) == "-[5][4]/([3]^2[2])"
         assert str(ONE) == "1"
-        assert str(qint(0)) == "0"
 
-    def test_zero_inverse(self):
+    def test_zero_is_rejected(self):
+        # a symbol is +/- a product of [n], n >= 1: no index 0, no unit 0
         with pytest.raises(UsageError):
-            qint(0).inverse()
-        for e in (0, -1):
-            with pytest.raises(UsageError):
-                qint(0) ** e
+            qint(0)
+        with pytest.raises(InvariantViolation):
+            QuantumFactored.from_factors(0, ())
 
     def test_from_factors_adds_repeated_exponents(self):
         assert QuantumFactored.from_factors(1, [(3, 1), (3, 1)]) == qint(3) * qint(3)
@@ -295,7 +291,26 @@ class TestEvalSign:
         for n, e in ms:
             y = y * qint(n) ** e if e >= 0 else y / qint(n) ** (-e)
         for emb in embeddings(13):  # p = 13 prime: no [n] vanishes for n <= 12
-            assert eval_sign(x * y, emb) is eval_sign(x, emb) * eval_sign(y, emb)
+            product = eval_sign(x, emb).value * eval_sign(y, emb).value
+            assert eval_sign(x * y, emb).value == product
+
+    @given(
+        p=st.sampled_from((5, 7, 10, 13, 14, 22, 26)),
+        negative=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_products_match_the_float_value(self, p, negative, data):
+        # no [n] with n < r vanishes, so every value is a nonzero float
+        r = p if p % 2 else p // 2
+        powers = data.draw(st.lists(
+            st.tuples(st.integers(1, r - 1), st.integers(-3, 3)), max_size=6))
+        x = -ONE if negative else ONE
+        for n, e in powers:
+            x = x * qint(n) ** e
+        for emb in embeddings(p):
+            expected = Sign.POSITIVE if x.evaluate(emb) > 0 else Sign.NEGATIVE
+            assert eval_sign(x, emb) is expected, (str(x), emb)
 
 
 class TestBracketAndTheta:
