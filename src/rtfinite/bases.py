@@ -10,7 +10,7 @@ from itertools import product
 
 from .context import LevelContext
 from .errors import UsageError
-from .quantum import QuantumFactored, bracket_color, qfactorial_ratio, theta_symbol
+from .quantum import QuantumFactored, qfactorial_ratio
 
 
 def is_admissible(level: LevelContext, a: int, b: int, c: int) -> bool:
@@ -38,7 +38,7 @@ def lollipop_ratio_step(level: LevelContext, c: int, i: int) -> QuantumFactored:
     if not 0 <= i <= level.r - 3 - 2 * c:
         raise UsageError(f"step index i = {i} out of range for r = {level.r}, c = {c}")
     factors = ((2 * c + i + 2, 1), (i + 1, 1), (c + i + 2, -1), (c + i + 1, -1))
-    return QuantumFactored.from_factors(1, factors)
+    return QuantumFactored.from_factors(factors)
 
 
 def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> QuantumFactored:
@@ -55,7 +55,7 @@ def lollipop_ratio_two_step(level: LevelContext, c: int, i: int) -> QuantumFacto
         )
     factors = ((2 * c + i + 3, 1), (2 * c + i + 2, 1), (i + 2, 1), (i + 1, 1),
                (c + i + 1, -1), (c + i + 3, -1), (c + i + 2, -2))
-    return QuantumFactored.from_factors(1, factors)
+    return QuantumFactored.from_factors(factors)
 
 
 def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> QuantumFactored:
@@ -73,16 +73,21 @@ def lollipop_ratio_cumulative(level: LevelContext, c: int, j: int) -> QuantumFac
 def theta_norm_ratio(level: LevelContext, t: tuple[int, int, int]) -> QuantumFactored:
     """Norm of the genus-2 theta-graph vector u_{a,b,c} relative to u_{0,0,0}.
 
-    The normalization is pinned by the level's own printed anchor values
-    (see the decide_closed witnesses): at even levels the ratio is
-    theta(a,b,c)^2 / (<a><b><c>); at odd levels the theta symbol enters
-    unsquared and without its global sign.
+    With s = (a+b+c)/2, theta(a,b,c) = (-1)^s [s+1]![s-a]![s-b]![s-c]! /
+    ([a]![b]![c]!) and <n> = (-1)^n [n+1]!/[n]!, so theta / (<a><b><c>) is
+    (-1)^s times the factorial ratio of num = (s+1, s-a, s-b, s-c) over
+    den = (a+1, b+1, c+1), and theta^2 / (<a><b><c>) is the ratio of num
+    twice over den + (a, b, c).  The normalization is pinned by the level's
+    own printed anchor values (see the decide_closed witnesses), not
+    derived: even levels take theta^2 / (<a><b><c>), odd levels
+    theta / (<a><b><c>) without its sign.
     """
     a, b, c = t
     if not is_admissible(level, a, b, c):
         raise UsageError(f"({a},{b},{c}) is not {level.p}-admissible")
-    theta = theta_symbol(a, b, c)
-    den = bracket_color(a) * bracket_color(b) * bracket_color(c)
+    s = (a + b + c) // 2
+    num = (s + 1, s - a, s - b, s - c)
+    den = (a + 1, b + 1, c + 1)
     if level.is_even_level:
-        return theta * theta / den
-    return QuantumFactored(abs(theta.unit), theta.factors) / den
+        return qfactorial_ratio(num * 2, den + (a, b, c))
+    return qfactorial_ratio(num, den)

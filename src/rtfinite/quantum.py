@@ -1,9 +1,8 @@
 """Quantum integers and their relatives, as exact factored symbols.
 
 The quantum integer [n] = (A^2n - A^-2n)/(A^2 - A^-2) evaluates to
-sin(2*pi*n*k/p)/sin(2*pi*k/p) at the embedding A = exp(i*pi*k/p).  All
-quantities here (loop values <n>, theta symbols <a,b,c>, Gram ratios)
-are kept as formal signed products of quantum integers, so sign
+sin(2*pi*n*k/p)/sin(2*pi*k/p) at the embedding A = exp(i*pi*k/p).  Every
+Gram ratio here is a product of powers of quantum integers, so sign
 evaluation at an embedding is exact and division-free.
 """
 
@@ -17,21 +16,18 @@ from .errors import InvariantViolation, UsageError
 
 
 class QuantumFactored(NamedTuple):
-    """A formal signed product unit * prod [n]^e_n of quantum integers.
+    """A formal product prod [n]^e_n of quantum integers.
 
-    unit is +1 or -1.  factors is sorted by n descending; [1] (the
-    multiplicative unit) and zero exponents are never stored, so equal
-    symbols have equal representations.
+    factors is sorted by n descending; [1] (the multiplicative unit) and
+    zero exponents are never stored, so equal symbols have equal
+    representations.
     """
 
-    unit: int
     factors: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_factors(cls, unit: int, factors) -> "QuantumFactored":
+    def from_factors(cls, factors) -> "QuantumFactored":
         """Canonical symbol from (n, e) pairs; exponents of a repeated n add up."""
-        if unit not in (1, -1):
-            raise InvariantViolation(f"symbol unit must be +1 or -1, got {unit}")
         merged: dict[int, int] = {}
         for n, e in factors:
             if n == 1 or e == 0:
@@ -39,70 +35,56 @@ class QuantumFactored(NamedTuple):
             if n < 1:
                 raise UsageError(f"quantum integer index must be positive, got {n}")
             merged[n] = merged.get(n, 0) + e
-        return cls(unit, tuple(sorted(((n, e) for n, e in merged.items() if e), reverse=True)))
+        return cls(tuple(sorted(((n, e) for n, e in merged.items() if e), reverse=True)))
 
     @property
     def is_unit(self) -> bool:
         return not self.factors
 
     def __mul__(self, other: "QuantumFactored") -> "QuantumFactored":
-        return QuantumFactored.from_factors(
-            self.unit * other.unit, self.factors + other.factors
-        )
+        return QuantumFactored.from_factors(self.factors + other.factors)
 
     def inverse(self) -> "QuantumFactored":
-        return QuantumFactored.from_factors(
-            self.unit, ((n, -e) for n, e in self.factors)
-        )
+        return QuantumFactored.from_factors((n, -e) for n, e in self.factors)
 
     def __truediv__(self, other: "QuantumFactored") -> "QuantumFactored":
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "QuantumFactored":
-        return QuantumFactored.from_factors(
-            self.unit if e % 2 else 1, ((n, k * e) for n, k in self.factors)
-        )
-
-    def __neg__(self) -> "QuantumFactored":
-        return QuantumFactored(-self.unit, self.factors)
+        return QuantumFactored.from_factors((n, k * e) for n, k in self.factors)
 
     def __str__(self) -> str:
         num = "".join(
             f"[{n}]" if e == 1 else f"[{n}]^{e}" for n, e in self.factors if e > 0
-        )
+        ) or "1"
         den = "".join(
             f"[{n}]" if e == -1 else f"[{n}]^{-e}" for n, e in self.factors if e < 0
         )
-        sign = "-" if self.unit < 0 else ""
-        if not num:
-            num = "1"
-        return f"{sign}{num}/({den})" if den else f"{sign}{num}"
+        return f"{num}/({den})" if den else num
 
     def evaluate(self, emb: EmbeddingIndex) -> float:
         """Float value at the embedding (oracle support, not used in verdicts)."""
         import math
 
-        value = float(self.unit)
+        value = 1.0
         s1 = math.sin(2 * math.pi * emb.k / emb.p)
         for n, e in self.factors:
             value *= (math.sin(2 * math.pi * n * emb.k / emb.p) / s1) ** e
         return value
 
 
-ONE = QuantumFactored(1, ())
+ONE = QuantumFactored(())
 
 
 def qint(n: int) -> QuantumFactored:
     """The symbol [n], n >= 1; [1] is the unit."""
-    if n < 1:
-        raise UsageError(f"quantum integer index must be positive, got {n}")
-    return QuantumFactored.from_factors(1, ((n, 1),))
+    return QuantumFactored.from_factors(((n, 1),))
 
 
 @lru_cache(maxsize=None)
 def qfactorial(n: int) -> QuantumFactored:
     """The quantum factorial [n]! = [n][n-1]...[1]."""
-    return QuantumFactored(1, tuple((m, 1) for m in range(n, 1, -1)))
+    return QuantumFactored(tuple((m, 1) for m in range(n, 1, -1)))
 
 
 def qfactorial_ratio(num, den) -> QuantumFactored:
@@ -122,7 +104,7 @@ def qfactorial_ratio(num, den) -> QuantumFactored:
         exponent += steps[top]
         if exponent:
             factors.extend((m, exponent) for m in range(top, bottom, -1))
-    return QuantumFactored(1, tuple(factors))
+    return QuantumFactored(tuple(factors))
 
 
 @lru_cache(maxsize=None)
@@ -206,15 +188,15 @@ def qint_sign_values(p: int, k: int) -> int:
 
 
 def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
-    """Sign of a factored symbol at an embedding: the parity of the unit -1
-    and of the odd-exponent factors [n] < 0, the rule of the parity masks.
+    """Sign of a factored symbol at an embedding: the parity of the
+    odd-exponent factors [n] < 0, the rule of the parity masks.
 
     [n] < 0 when sin_sign(n*s, p) is negative at the folded step s of
     _negative_residues.  A vanishing numerator factor makes the sign ZERO;
     a vanishing denominator factor raises InvariantViolation, which ratios
     built from admissible data never do.
     """
-    parity = x.unit < 0
+    parity = 0
     step = min(emb.k % emb.p, -emb.k % emb.p)
     zero_in_numerator = False
     for n, e in x.factors:
@@ -230,27 +212,4 @@ def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
     if zero_in_numerator:
         return Sign.ZERO
     return Sign.NEGATIVE if parity else Sign.POSITIVE
-
-
-def bracket_color(n: int) -> QuantumFactored:
-    """The loop value <n> = (-1)^n [n+1] of a circle colored n."""
-    if n < 0:
-        raise UsageError(f"color must be nonnegative, got {n}")
-    return QuantumFactored.from_factors(-1 if n % 2 else 1, ((n + 1, 1),))
-
-
-def theta_symbol(a: int, b: int, c: int) -> QuantumFactored:
-    """The theta net evaluation <a,b,c> for an admissible triple.
-
-    With x = (b+c-a)/2, y = (a+c-b)/2, z = (a+b-c)/2:
-        (-1)^(x+y+z) [x+y+z+1]! [x]! [y]! [z]! / ([y+z]! [x+z]! [x+y]!)
-    In particular <n,n,0> = <n>, the loop value.
-    """
-    if (a + b + c) % 2 or abs(a - b) > c or c > a + b:
-        raise UsageError(f"({a},{b},{c}) is not an admissible vertex triple")
-    x = (b + c - a) // 2
-    y = (a + c - b) // 2
-    z = (a + b - c) // 2
-    result = qfactorial_ratio((x + y + z + 1, x, y, z), (y + z, x + z, x + y))
-    return -result if (x + y + z) % 2 else result
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from sympy import primerange
 
@@ -207,3 +209,25 @@ class TestThetaNormRatio:
             value = theta_norm_ratio(level, (a, a, 0))
             assert value == ONE
             assert eval_sign(value, emb) is Sign.POSITIVE
+
+
+def test_every_builder_symbol_is_pinned_below_p60():
+    # the factors of all 52,750 ratios the four builders accept at the 25
+    # levels p < 60, as the signed-symbol construction of theta(a,b,c) and
+    # <n> built them
+    lines = []
+    for p in sorted(q for r in primerange(3, 60) for q in (r, 2 * r) if q < 60):
+        level = LevelContext.at(p)
+        r = level.r
+        lines += [f"{p} theta {t} {theta_norm_ratio(level, t).factors}"
+                  for t in admissible_triples(level)]
+        for c in range((r - 2) // 2 + 1):
+            lines += [f"{p} step {c} {i} {lollipop_ratio_step(level, c, i).factors}"
+                      for i in range(r - 2 - 2 * c)]
+            lines += [f"{p} two {c} {i} {lollipop_ratio_two_step(level, c, i).factors}"
+                      for i in range(r - 3 - 2 * c)]
+            lines += [f"{p} cum {c} {j} {lollipop_ratio_cumulative(level, c, j).factors}"
+                      for j in range(1, r - 1 - 2 * c)]
+    assert len(lines) == 52750
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest()[:16] == "f73d46baf3f709f9"

@@ -305,6 +305,14 @@ class TestLatticeCheckCommand:
         _, b = run(["lattice-check", "--p", "10", "--samples", "20", "--seed", "9"])
         assert a == b
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exits_with_usage(self, samples, capsys):
+        # rejected before any work: p = 9 is no level, yet --samples is named
+        code, out = run(["lattice-check", "--p", "9", "--samples", samples])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == "usage error: lattice-check needs --samples >= 1\n"
+
 
 def test_invariant_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_USAGE, EXIT_INVARIANT} == {0, 2, 3}

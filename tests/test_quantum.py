@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sympy import primerange
 
 import rtfinite
+from rtfinite.bases import admissible_triples, theta_norm_ratio
+from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import (
@@ -19,13 +21,11 @@ from rtfinite.quantum import (
     QuantumFactored,
     _negative_residues,
     _residue_tile,
-    bracket_color,
     eval_sign,
     qfactorial,
     qfactorial_ratio,
     qint,
     qint_sign_values,
-    theta_symbol,
 )
 
 
@@ -39,33 +39,35 @@ class TestQuantumFactored:
         assert qint(1).is_unit
 
     def test_formal_product(self):
-        x = qint(4) * qint(3)
-        assert x.unit == 1
-        assert dict(x.factors) == {4: 1, 3: 1}
+        # a symbol is its factors alone: no unit, no sign
+        assert QuantumFactored._fields == ("factors",)
+        assert (qint(4) * qint(3)).factors == ((4, 1), (3, 1))
 
     def test_division_cancels(self):
         assert (qint(5) * qint(2)) / (qint(2) * qint(5)) == ONE
 
     def test_pow(self):
-        x = -qint(3)
-        assert x**2 == qint(3) * qint(3)
-        assert x**3 == -(qint(3) ** 3)
+        x = qint(3) / qint(2)
+        assert x**2 == (qint(3) * qint(3)) / (qint(2) * qint(2))
+        assert x**-1 == x.inverse() == qint(2) / qint(3)
+        assert x**0 == ONE
 
     def test_str(self):
-        value = -(qint(5) * qint(4)) / (qint(3) * qint(3) * qint(2))
-        assert str(value) == "-[5][4]/([3]^2[2])"
+        value = (qint(5) * qint(4)) / (qint(3) * qint(3) * qint(2))
+        assert str(value) == "[5][4]/([3]^2[2])"
         assert str(ONE) == "1"
+        assert str(ONE / qint(2)) == "1/([2])"
 
     def test_zero_is_rejected(self):
-        # a symbol is +/- a product of [n], n >= 1: no index 0, no unit 0
+        # a symbol is a product of [n], n >= 1: no index 0
         with pytest.raises(UsageError):
             qint(0)
-        with pytest.raises(InvariantViolation):
-            QuantumFactored.from_factors(0, ())
+        with pytest.raises(UsageError):
+            QuantumFactored.from_factors([(0, 1)])
 
     def test_from_factors_adds_repeated_exponents(self):
-        assert QuantumFactored.from_factors(1, [(3, 1), (3, 1)]) == qint(3) * qint(3)
-        assert QuantumFactored.from_factors(-1, [(5, 2), (4, 1), (5, -2)]) == -qint(4)
+        assert QuantumFactored.from_factors([(3, 1), (3, 1)]) == qint(3) * qint(3)
+        assert QuantumFactored.from_factors([(5, 2), (4, 1), (5, -2)]) == qint(4)
 
 
 class TestQintSign:
@@ -242,7 +244,7 @@ def _merged_ratio(num, den):
     """qfactorial_ratio as one from_factors merge of every factorial's factors."""
     pairs = [pair for n in num for pair in qfactorial(n).factors]
     pairs += [(m, -e) for n in den for m, e in qfactorial(n).factors]
-    return QuantumFactored.from_factors(1, pairs)
+    return QuantumFactored.from_factors(pairs)
 
 
 @given(
@@ -284,10 +286,10 @@ class TestEvalSign:
     )
     @settings(max_examples=80, deadline=None)
     def test_multiplicative(self, ns, ms):
-        x = QuantumFactored.from_factors(1, {})
+        x = ONE
         for n, e in ns:
             x = x * qint(n) ** e if e >= 0 else x / qint(n) ** (-e)
-        y = QuantumFactored.from_factors(1, {})
+        y = ONE
         for n, e in ms:
             y = y * qint(n) ** e if e >= 0 else y / qint(n) ** (-e)
         for emb in embeddings(13):  # p = 13 prime: no [n] vanishes for n <= 12
@@ -296,16 +298,15 @@ class TestEvalSign:
 
     @given(
         p=st.sampled_from((5, 7, 10, 13, 14, 22, 26)),
-        negative=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_products_match_the_float_value(self, p, negative, data):
+    def test_products_match_the_float_value(self, p, data):
         # no [n] with n < r vanishes, so every value is a nonzero float
         r = p if p % 2 else p // 2
         powers = data.draw(st.lists(
             st.tuples(st.integers(1, r - 1), st.integers(-3, 3)), max_size=6))
-        x = -ONE if negative else ONE
+        x = ONE
         for n, e in powers:
             x = x * qint(n) ** e
         for emb in embeddings(p):
@@ -313,32 +314,117 @@ class TestEvalSign:
             assert eval_sign(x, emb) is expected, (str(x), emb)
 
 
+def float_qfactorials(emb, n_max):
+    """[0]!, ..., [n_max]! at the embedding, from sines."""
+    table = [1.0]
+    for m in range(1, n_max + 1):
+        table.append(table[-1] * float_qint(m, emb))
+    return table
+
+
+def float_bracket(n, emb):
+    """The paper's loop value <n> = (-1)^n [n+1], from sines."""
+    return (-1) ** n * float_qint(n + 1, emb)
+
+
+def float_theta(a, b, c, emb, fact=None):
+    """The paper's theta net (-1)^s [s+1]! [s-a]! [s-b]! [s-c]! / ([a]! [b]! [c]!),
+    s = (a+b+c)/2, from sines; fact is float_qfactorials at emb, if built."""
+    s = (a + b + c) // 2
+    fact = fact or float_qfactorials(emb, s + 1)
+    value = fact[s + 1] * fact[s - a] * fact[s - b] * fact[s - c]
+    return (-1) ** s * value / (fact[a] * fact[b] * fact[c])
+
+
+def float_theta_norm(p, t, emb, fact):
+    """theta^2 / (<a><b><c>) at even levels, (-1)^s theta / (<a><b><c>) at odd."""
+    theta = float_theta(*t, emb, fact)
+    value = theta / math.prod(float_bracket(n, emb) for n in t)
+    if p % 2 == 0:
+        return value * theta
+    return (-1) ** (sum(t) // 2) * value
+
+
+def close(x, y):
+    # both sides multiply the same float [n] in another order: the largest
+    # relative gap at the levels p < 40 is 2e-15, so 1e-9 leaves a wide margin
+    return math.isclose(x, y, rel_tol=1e-9)
+
+
+def levels_below(limit):
+    return [q for r in primerange(3, limit) for q in (r, 2 * r) if q < limit]
+
+
 class TestBracketAndTheta:
+    """The sine oracle of the paper's <n> and theta(a,b,c), pinned on known
+    values, and theta_norm_ratio checked against it."""
+
     def test_bracket_examples(self):
-        assert bracket_color(0) == ONE
-        assert bracket_color(2) == qint(3)
-        assert bracket_color(1) == -qint(2)
+        for emb in embeddings(10):
+            assert float_bracket(0, emb) == 1.0
+            assert close(float_bracket(2, emb), float_qint(3, emb))
+            assert close(float_bracket(1, emb), -float_qint(2, emb))
 
     def test_theta_trivial(self):
-        assert theta_symbol(0, 0, 0) == ONE
+        for emb in embeddings(5):
+            assert float_theta(0, 0, 0, emb) == 1.0
+        assert theta_norm_ratio(LevelContext.at(5), (0, 0, 0)) == ONE
 
     def test_theta_222(self):
-        assert theta_symbol(2, 2, 2) == -(qint(4) * qint(3)) / qint(2) ** 2
+        for p in (7, 10):
+            for emb in embeddings(p):
+                expected = -float_qint(4, emb) * float_qint(3, emb) / float_qint(2, emb) ** 2
+                assert close(float_theta(2, 2, 2, emb), expected)
 
     def test_theta_211(self):
-        assert theta_symbol(2, 1, 1) == qint(3)
+        for emb in embeddings(10):
+            assert close(float_theta(2, 1, 1, emb), float_qint(3, emb))
 
     @pytest.mark.parametrize("n", range(8))
     def test_theta_collapses_to_loop_value(self, n):
-        assert theta_symbol(n, n, 0) == bracket_color(n)
+        # theta(n, n, 0) = <n>, so the norm of u_{n,n,0} is 1 at even levels
+        # and 1/[n+1] at odd levels, where the colors are even
+        for emb in embeddings(26):
+            assert close(float_theta(n, n, 0, emb), float_bracket(n, emb))
+        assert theta_norm_ratio(LevelContext.at(26), (n, n, 0)) == ONE
+        if n % 2 == 0:
+            assert theta_norm_ratio(LevelContext.at(23), (n, n, 0)) == qint(n + 1).inverse()
 
     def test_inadmissible_raises(self):
         with pytest.raises(UsageError):
-            theta_symbol(1, 1, 1)
+            theta_norm_ratio(LevelContext.at(14), (1, 1, 1))
         with pytest.raises(UsageError):
-            theta_symbol(4, 1, 1)
+            theta_norm_ratio(LevelContext.at(14), (4, 1, 1))
+
+    @pytest.mark.parametrize("p", levels_below(40))
+    def test_norm_ratio_matches_the_sine_oracle(self, p):
+        level = LevelContext.at(p)
+        ratios = {t: theta_norm_ratio(level, t) for t in admissible_triples(level)}
+        for emb in embeddings(p):
+            fact = float_qfactorials(emb, level.r - 1)
+            for t, ratio in ratios.items():
+                assert close(ratio.evaluate(emb), float_theta_norm(p, t, emb, fact)), (t, emb)
+
+    @pytest.mark.parametrize("p", levels_below(60))
+    def test_norm_ratio_sign_is_the_mask_parity(self, p):
+        # [n]! has the sign parity of bit n of the mask, so the sign of the
+        # ratio is the XOR of the bits at its factorial indices: 7 lookups
+        # at odd levels, and at even levels 14, of which num's 8 cancel
+        level = LevelContext.at(p)
+        ratios = {t: theta_norm_ratio(level, t) for t in admissible_triples(level)}
+        for emb in embeddings(p):
+            mask = qint_sign_values(p, emb.k)
+            for (a, b, c), ratio in ratios.items():
+                s = (a + b + c) // 2
+                indices = [s + 1, s - a, s - b, s - c, a + 1, b + 1, c + 1]
+                if level.is_even_level:
+                    indices += [s + 1, s - a, s - b, s - c, a, b, c]
+                parity = 0
+                for n in indices:
+                    parity ^= mask >> n & 1
+                expected = Sign.NEGATIVE if parity else Sign.POSITIVE
+                assert eval_sign(ratio, emb) is expected, ((a, b, c), emb)
 
     def test_factorial(self):
         assert qfactorial(4) == qint(2) * qint(3) * qint(4)
         assert qfactorial(1) == ONE
-
