@@ -13,7 +13,7 @@ import io
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from math import gcd
 from types import SimpleNamespace
 from typing import Optional
@@ -94,10 +94,10 @@ def _scan_prime(r: int, with_text: bool) -> list[dict]:
     return _torus_records(decide_torus_level(r), with_text)
 
 
-def _write_report(levels, fmt: str, out):
-    """Write the report of levels, an iterable of record lists, to out with one
-    write per list as the iterable yields it, so that a list need not be held
-    once it is written."""
+def _write_report(levels, fmt: str, write):
+    """Write the report of levels, an iterable of record lists, through write
+    with one call per list as the iterable yields it, so that a list need not
+    be held once it is written."""
     if fmt == "json":
         import json  # here, so that csv and text calls never load it
         # json.dumps(records, indent=2), one record at a time: no string in a
@@ -108,14 +108,14 @@ def _write_report(levels, fmt: str, out):
             for rec in records:
                 text += sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  ")
                 sep = ",\n"
-            out.write(text)
-        out.write("[]\n" if sep == "[\n" else "\n]\n")
+            write(text)
+        write("[]\n" if sep == "[\n" else "\n]\n")
         return
     if fmt == "csv":
-        out.write("r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n")
+        write("r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n")
     line = _csv_row if fmt == "csv" else _text_line
     for records in levels:
-        out.write("".join(map(line, records)))
+        write("".join(map(line, records)))
 
 
 def _csv_row(rec: dict) -> str:
@@ -141,35 +141,25 @@ def _text_line(rec: dict) -> str:
 
 def _render(records: list[dict], fmt: str) -> str:
     buf = io.StringIO()
-    _write_report([records], fmt, buf)
+    _write_report([records], fmt, buf.write)
     return buf.getvalue()
-
-
-class _Tee:
-    """Writes each piece to every file it holds, in order."""
-
-    def __init__(self, *files):
-        self.files = files
-
-    def write(self, text: str):
-        for fh in self.files:
-            fh.write(text)
 
 
 @contextmanager
 def _output(out: Optional[str]):
-    """stdout, and with --out that file as well, which is opened here: a path
-    that cannot be written raises OSError before anything is written."""
+    """The write of stdout, or with --out one that writes that file and then
+    stdout.  The file is opened here: a path that cannot be written raises
+    OSError before anything is written."""
+    stdout = sys.stdout.write
     if not out:
-        yield sys.stdout
+        yield stdout
         return
     with open(out, "w", encoding="utf-8") as fh:
-        yield _Tee(fh, sys.stdout)
+        def write(text: str):
+            fh.write(text)
+            stdout(text)
 
-
-def _emit(text: str, out: Optional[str]):
-    with _output(out) as sink:
-        sink.write(text)
+        yield write
 
 
 def _cmd_decide_torus(args) -> int:
@@ -179,7 +169,8 @@ def _cmd_decide_torus(args) -> int:
         raise UsageError("--p-choice r prints json or text only, not csv")
     rec = _timed(lambda: _torus_records([decide_torus(args.r, args.c, args.p_choice)],
                                         args.format != "csv")[0])
-    _emit(_render([rec], args.format), args.out)
+    with _output(args.out) as write:
+        write(_render([rec], args.format))
     return EXIT_OK
 
 
@@ -188,7 +179,8 @@ def _cmd_decide_closed(args) -> int:
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
     parameters = {"command": "decide-closed", "p": args.p, "g": args.g}
     rec = _timed(lambda: _record(decide_closed(args.p, args.g), parameters, None, True))
-    _emit(_render([rec], args.format), args.out)
+    with _output(args.out) as write:
+        write(_render([rec], args.format))
     return EXIT_OK
 
 
@@ -199,27 +191,29 @@ def scan_workers(jobs: int, cpu_count: Optional[int], tasks: int) -> int:
     return min(jobs, cpu_count or 1, tasks)
 
 
+def _sweep_primes(command: str, r_max: int) -> list[int]:
+    """The primes 5 <= r <= --r-max of scan and verify-theorem."""
+    if r_max < 5:
+        raise UsageError(f"{command} needs --r-max >= 5")
+    check_limit("--r-max", r_max, MAX_SWEEP_R)
+    return list(primerange(5, r_max + 1))
+
+
 def _cmd_scan(args) -> int:
-    if args.r_max < 5:
-        raise UsageError("scan needs --r-max >= 5")
-    check_limit("--r-max", args.r_max, MAX_SWEEP_R)
-    primes = list(primerange(5, args.r_max + 1))
+    primes = _sweep_primes("scan", args.r_max)
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
     with_text = [args.format != "csv"] * len(primes)
     # each level's records are written as soon as it is decided: pool.map and
     # map keep the primes in order, and each level's records are in ascending c
-    with _output(args.out) as sink:
+    with _output(args.out) as write, ExitStack() as stack:
+        level_map = map
         if jobs > 1:
             # imported here: the pool machinery is most of the import time of
             # a single-process call
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                levels = pool.map(_scan_prime, primes, with_text)
-                _write_report(levels, args.format, sink)
-        else:
-            levels = map(_scan_prime, primes, with_text)
-            _write_report(levels, args.format, sink)
+            level_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        _write_report(level_map(_scan_prime, primes, with_text), args.format, write)
     return EXIT_OK
 
 
@@ -227,26 +221,21 @@ CLOSED_TABLE_LEVELS = (3, 5, 6, 7, 10, 14)
 
 
 def _cmd_verify_theorem(args) -> int:
-    if args.r_max < 5:
-        raise UsageError("verify-theorem needs --r-max >= 5")
-    check_limit("--r-max", args.r_max, MAX_SWEEP_R)
-    lines = []
-    disagreements = 0
+    primes = _sweep_primes("verify-theorem", args.r_max)
     from .positivity import clause_witness_k, negative_ratios
 
-    per_clause = {1: [0, 0], 2: [0, 0], 3: [0, 0], 4: [0, 0]}
+    lines = []
+    tally = {clause: [0, 0] for clause in (1, 2, 3, 4)}  # (disagree, agree)
     witness_misses = []
-    for r in primerange(5, args.r_max + 1):
+    for r in primes:
         level = LevelContext.at(2 * r)
         for c, verdict in enumerate(decide_torus_level(r)):
             clause = verdict.clause
             if clause is None:
                 continue
             ok = verdict.crosscheck is Crosscheck.AGREE
-            per_clause[clause][0] += 1
-            per_clause[clause][1] += ok
+            tally[clause][ok] += 1
             if not ok:
-                disagreements += 1
                 lines.append(f"DISAGREE clause {clause}: r={r} c={c}")
                 continue
             if clause == 1:
@@ -258,30 +247,24 @@ def _cmd_verify_theorem(args) -> int:
             x = negative_ratios(level, k, c)
             if not (x if clause == 4 else x >> 2 & 1):
                 witness_misses.append((clause, r, c, k))
-    for clause in sorted(per_clause):
-        total, ok = per_clause[clause]
-        lines.append(
-            f"clause {clause}: {total} instances, {ok} agree, {total - ok} disagree"
-        )
+    for clause, (bad, ok) in tally.items():
+        lines.append(f"clause {clause}: {bad + ok} instances, {ok} agree, {bad} disagree")
     if witness_misses:
         lines.append(f"clause-witness misses (reported, not failures): {witness_misses}")
     else:
         lines.append("clause witnesses: all negative as claimed")
 
-    closed_bad = 0
-    for p in CLOSED_TABLE_LEVELS:
-        for g in (1, 2, 3):
-            verdict = decide_closed(p, g)
-            if verdict.crosscheck is not Crosscheck.AGREE:
-                closed_bad += 1
-                lines.append(f"DISAGREE closed p={p} g={g}")
+    closed_bad = [(p, g) for p in CLOSED_TABLE_LEVELS for g in (1, 2, 3)
+                  if decide_closed(p, g).crosscheck is not Crosscheck.AGREE]
+    lines += [f"DISAGREE closed p={p} g={g}" for p, g in closed_bad]
     lines.append(
         f"closed-surface table p in {CLOSED_TABLE_LEVELS} g in (1,2,3): "
-        f"{'all agree' if closed_bad == 0 else f'{closed_bad} disagreements'}"
+        f"{f'{len(closed_bad)} disagreements' if closed_bad else 'all agree'}"
     )
-    disagreements += closed_bad
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if disagreements == 0 else EXIT_INVARIANT
+    with _output(args.out) as write:
+        write("\n".join(lines) + "\n")
+    failed = closed_bad or any(bad for bad, _ in tally.values())
+    return EXIT_INVARIANT if failed else EXIT_OK
 
 
 def _cmd_lattice_check(args) -> int:
@@ -292,7 +275,7 @@ def _cmd_lattice_check(args) -> int:
     check_limit("phi(alpha_p)", level.phi_alpha, MAX_LATTICE_PHI)
     check_limit("--samples", args.samples, MAX_SAMPLES)
     report = discreteness_certificate(level, args.samples, args.seed)
-    least = report.min_phi_norm_sq  # min_norm_sq in lowest terms is num/den
+    least = report.min_phi_norm_sq  # least/phi is the least norm^2, num/den in lowest terms
     num, den = (n // gcd(least, level.phi_alpha) for n in (least, level.phi_alpha))
     lines = [
         f"p={report.level_p} alpha_p={level.alpha_p} phi(alpha_p)={level.phi_alpha} "
@@ -302,7 +285,8 @@ def _cmd_lattice_check(args) -> int:
         f"displayed closed form vs exact trace: {report.formula_agreements} agree, "
         f"{report.formula_disagreements} differ",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:
+        write("\n".join(lines) + "\n")
     return EXIT_OK  # a sample that fails integrality raises InvariantViolation
 
 

@@ -13,11 +13,10 @@ its residue table, and the sign of a product as the parity of its negative
 factors.
 """
 
-import cmath
 import enum
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd, pi
+from math import gcd
 from operator import mul
 
 from .context import divisors, mobius, totient
@@ -203,9 +202,6 @@ class EmbeddingIndex(namedtuple("EmbeddingIndex", "k p")):
         if not 1 <= k <= 2 * p - 1 or gcd(k, 2 * p) != 1:
             raise UsageError(f"k = {k} is not a valid embedding index for p = {p}")
         return super().__new__(cls, k, p)
-
-    def root(self) -> complex:
-        return cmath.exp(1j * pi * self.k / self.p)
 
 
 @lru_cache(maxsize=16)

@@ -103,12 +103,6 @@ class DiscretenessReport(NamedTuple):
     formula_agreements: int
     formula_disagreements: int
 
-    @property
-    def min_norm_sq(self) -> "Fraction":
-        """The least norm^2 sampled, built as a Fraction only when read."""
-        from fractions import Fraction
-        return Fraction(self.min_phi_norm_sq, LevelContext.at(self.level_p).phi_alpha)
-
 
 def _coefficient_slices(seed: int, deg: int):
     """Consecutive deg-byte slices of the decoded randint stream of

@@ -219,25 +219,14 @@ def theorem_predicate(r: int, c: int) -> Optional[tuple[int, Finiteness]]:
 def clause_witness_k(r: int, clause: int) -> Optional[int]:
     """The designated witness embedding index for a clause.
 
-    Clause 2 uses k = (2r+1)/3 or (2r-1)/3 depending on r mod 3, clause 3
-    uses k = (2r+1)/5 or (2r-1)/5 depending on r mod 5, clause 4 uses
-    k = 3.  Clause 1 has no witness (it asserts positivity).
+    Clause 4 uses k = 3.  Clause 2 uses whichever of (2r+1)/3 and (2r-1)/3
+    is an integer, and clause 3 whichever of (2r+1)/5 and (2r-1)/5 is; None
+    when neither is.  Clause 1 has no witness (it asserts positivity).
     """
-    if clause == 2:
-        if r % 3 == 1:
-            return (2 * r + 1) // 3
-        if r % 3 == 2:
-            return (2 * r - 1) // 3
-        return None
-    if clause == 3:
-        if r % 5 == 2:
-            return (2 * r + 1) // 5
-        if r % 5 == 3:
-            return (2 * r - 1) // 5
-        return None
     if clause == 4:
         return 3
-    return None
+    d = {2: 3, 3: 5}.get(clause)
+    return next((n // d for n in (2 * r + 1, 2 * r - 1) if d and n % d == 0), None)
 
 
 @lru_cache(maxsize=None)

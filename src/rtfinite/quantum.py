@@ -107,36 +107,31 @@ def qfactorial_ratio(num, den) -> QuantumFactored:
     return QuantumFactored(tuple(factors))
 
 
-@lru_cache(maxsize=None)
-def _negative_residues(p: int) -> bytes:
-    """Byte x is the digit 1 when sin(2 pi x / p) < 0, 0 <= x < p, and the
-    digit 0 otherwise: sin_sign's rule, negative exactly when p/2 < x < p.
-
-    [m] at k is [m] at the folded step s = min(k mod p, -k mod p), since both
-    sines of sin(2 pi m k / p) / sin(2 pi k / p) change sign under k -> -k, and
-    sin(2 pi s / p) > 0; so [m] < 0 at k exactly when digit m*s mod p is 1.
-    """
-    return b"0" * (p // 2 + 1) + b"1" * (p - 1 - p // 2)
-
-
 _TILE_LAPS = 64
 
 
 @lru_cache(maxsize=1)
 def _residue_tile(p: int) -> bytes:
-    """_negative_residues(p) repeated _TILE_LAPS times: byte i is the digit
-    of i mod p, for 0 <= i < _TILE_LAPS * p."""
-    return _negative_residues(p) * _TILE_LAPS
+    """Byte i is the digit 1 when sin(2 pi i / p) < 0, and the digit 0
+    otherwise, 0 <= i < _TILE_LAPS * p: sin_sign's rule, negative exactly when
+    p/2 < i mod p < p.  The first p bytes are the level's residue table, and
+    byte i is the digit of i mod p.
+
+    [m] at k is [m] at the folded step s = min(k mod p, -k mod p), since both
+    sines of sin(2 pi m k / p) / sin(2 pi k / p) change sign under k -> -k, and
+    sin(2 pi s / p) > 0; so [m] < 0 at k exactly when digit m*s mod p is 1.
+    """
+    return (b"0" * (p // 2 + 1) + b"1" * (p - 1 - p // 2)) * _TILE_LAPS
 
 
 def qint_product_negative(p: int, k: int, ms) -> int:
     """1 when the product of the [m], m in ms, is negative at k, and 0 when it
     is positive: the parity of #{m in ms : [m] < 0}, one lookup per m in the
-    residue table of _negative_residues.  No [m] may vanish at k: m*k must not
+    residue table of _residue_tile.  No [m] may vanish at k: m*k must not
     be 0 or p/2 (mod p).
     """
     step = min(k % p, -k % p)
-    negative = _negative_residues(p)
+    negative = _residue_tile(p)
     parity = 0
     for m in ms:
         # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
@@ -192,7 +187,7 @@ def eval_sign(x: QuantumFactored, emb: EmbeddingIndex) -> Sign:
     odd-exponent factors [n] < 0, the rule of the parity masks.
 
     [n] < 0 when sin_sign(n*s, p) is negative at the folded step s of
-    _negative_residues.  A vanishing numerator factor makes the sign ZERO;
+    _residue_tile.  A vanishing numerator factor makes the sign ZERO;
     a vanishing denominator factor raises InvariantViolation, which ratios
     built from admissible data never do.
     """

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -169,9 +168,8 @@ class TestScanCommand:
         # the report scan --r-max 1999 --format csv would print, were
         # MAX_SWEEP_R above 1999; it is hashed as it is written, not held
         digest = hashlib.sha256()
-        sink = SimpleNamespace(write=lambda text: digest.update(text.encode()))
         levels = (cli._scan_prime(r, False) for r in primerange(5, 2000))
-        cli._write_report(levels, "csv", sink)
+        cli._write_report(levels, "csv", lambda text: digest.update(text.encode()))
         assert digest.hexdigest()[:16] == "70c4abeeac921adb"
 
 
@@ -416,6 +414,22 @@ class TestOptions:
         # --c -1 reaches the library, which rejects the color
         assert run(["decide-torus", "--r", "7", "--c", "-1"]) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        *(["decide-torus", "--r", "7", "--c", "1", "--format", f] for f in ("json", "csv", "text")),
+        *(["decide-closed", "--p", "5", "--g", "2", "--format", f] for f in ("json", "text")),
+        *(["scan", "--r-max", "13", "--format", f, "--jobs", jobs]
+          for f in ("csv", "json", "text") for jobs in ("1", "2")),
+        ["verify-theorem", "--r-max", "13"],
+        ["lattice-check", "--p", "7", "--samples", "25"],
+    ], ids="-".join)
+    def test_receives_the_bytes_printed_on_stdout(self, argv, tmp_path):
+        target = tmp_path / "report"
+        code, out = run([*argv, "--out", str(target)])
+        assert code == EXIT_OK and out
+        assert target.read_bytes() == out.encode()
 
 
 class TestIOError:

@@ -252,7 +252,7 @@ class TestEmbeddings:
         raw = [2, -1, 0, 3, 1, 0, -2, 1]
         x = reduce(raw, 2 * p)
         for emb in embeddings(p):
-            root = emb.root()
+            root = cmath.exp(1j * pi * emb.k / emb.p)
             direct = sum(c * root**j for j, c in enumerate(raw))
             assert abs(x.evaluate(root) - direct) < 1e-9 * max(1.0, abs(direct))
 

@@ -210,8 +210,7 @@ class TestDiscretenessCertificate:
     def test_min_norm_bounded_below(self):
         level = LevelContext.at(10)
         report = discreteness_certificate(level, 100, seed=2)
-        assert report.min_norm_sq * level.phi_alpha >= 1
-        assert report.min_norm_sq == Fraction(report.min_phi_norm_sq, level.phi_alpha)
+        assert report.min_phi_norm_sq >= 1
 
     def test_deterministic_for_seed(self):
         level = LevelContext.at(14)
@@ -264,7 +263,7 @@ class TestDiscretenessCertificate:
         for seed in seeds:
             report = discreteness_certificate(level, samples, seed)
             assert report == _fraction_certificate(level, samples, seed)
-            assert report.min_norm_sq * level.phi_alpha >= 1
+            assert report.min_phi_norm_sq >= 1
         if p in (3, 7):
             assert report.formula_agreements and report.formula_disagreements
 

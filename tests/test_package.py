@@ -3,6 +3,7 @@ traced benchmark wraps."""
 
 import ast
 import importlib.util
+import re
 import types
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from rtfinite.cyclotomic import CyclotomicInteger
 
 PACKAGE_DIR = Path(rtfinite.__file__).resolve().parent
 PERFBENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
+README = PACKAGE_DIR.parents[1] / "README.md"
 
 # the deciders and the types they take and return
 DECISION_NAMES = {
@@ -146,3 +148,16 @@ def test_every_raise_is_a_usage_error_or_an_invariant_violation():
                         and exc.id in ("UsageError", "InvariantViolation")):
                     others.append(f"{path.name}:{node.lineno}")
     assert others == []
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # a code span that starts with `<submodule>.<name>`, with or without call
+    # arguments, names an attribute of that module: a rename cannot leave the
+    # README pointing at a name that is gone
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    spans = re.findall(r"`([^`\n]*)`", README.read_text(encoding="utf-8"))
+    cited = {match.groups() for span in spans
+             if (match := re.match(r"(\w+)\.(\w+)", span)) and match[1] in modules}
+    missing = sorted(f"{module}.{name}" for module, name in cited
+                     if not hasattr(importlib.import_module(f"rtfinite.{module}"), name))
+    assert len(cited) >= 15 and missing == []

@@ -28,7 +28,7 @@ from rtfinite.positivity import (
     negative_ratios,
     theorem_predicate,
 )
-from rtfinite.quantum import _negative_residues, eval_sign, qint_sign_values
+from rtfinite.quantum import _residue_tile, eval_sign, qint_sign_values
 
 
 def _torus_witness(level, c):
@@ -314,6 +314,19 @@ class TestTheoremPredicate:
     def test_clause_witness(self, r, c, clause, expected):
         assert clause_witness_k(r, clause) == expected
 
+    @pytest.mark.parametrize("clause", [1, 2, 3, 4])
+    def test_clause_witness_at_every_prime(self, clause):
+        # the residue cases of the theorem's statement, one branch each
+        def by_residue(r):
+            if clause == 2:
+                return {1: (2 * r + 1) // 3, 2: (2 * r - 1) // 3}.get(r % 3)
+            if clause == 3:
+                return {2: (2 * r + 1) // 5, 3: (2 * r - 1) // 5}.get(r % 5)
+            return 3 if clause == 4 else None
+
+        for r in primerange(5, 2000):
+            assert clause_witness_k(r, clause) == by_residue(r), r
+
     @pytest.mark.parametrize("r", list(primerange(5, 300)))
     def test_designated_witnesses_match_the_float_sines(self, r):
         # X at each designated k against the float sign of <u_j>/<u_0>, the
@@ -494,10 +507,11 @@ class TestMasklessShapes:
 
     @pytest.mark.parametrize("r", [5, 7, 11, 97, 1999])
     def test_one_residue_table_per_level(self, r):
+        # the tile cache holds one level, so a second level would be a second miss
         for p_choice in ("2r", "r"):
-            _negative_residues.cache_clear()
+            _residue_tile.cache_clear()
             decide_torus(r, (r - 3) // 2, p_choice)
-            assert _negative_residues.cache_info().currsize == 1, p_choice
+            assert _residue_tile.cache_info().misses == 1, p_choice
 
     @pytest.mark.parametrize("r", list(primerange(5, 300)))
     def test_one_ratio_matches_the_float_sines(self, r):

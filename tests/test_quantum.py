@@ -19,7 +19,6 @@ from rtfinite.quantum import (
     ONE,
     _TILE_LAPS,
     QuantumFactored,
-    _negative_residues,
     _residue_tile,
     eval_sign,
     qfactorial,
@@ -159,10 +158,10 @@ class TestQintSignValues:
 
 @pytest.mark.parametrize("p", LEVELS)
 def test_residue_table_marks_the_negative_sines(p):
-    table = _negative_residues(p)
-    assert len(table) == p
-    assert [d == ord("1") for d in table] == [
-        sin_sign(x, p) is Sign.NEGATIVE for x in range(p)]
+    tile = _residue_tile(p)
+    assert len(tile) == _TILE_LAPS * p
+    assert [d == ord("1") for d in tile] == [
+        sin_sign(x, p) is Sign.NEGATIVE for x in range(_TILE_LAPS * p)]
 
 
 @pytest.mark.parametrize("r", list(primerange(3, 200)))
@@ -203,11 +202,11 @@ def test_sign_values_match_the_loop(p):
 
 def _rmod_sign_values(p, k):
     """The parity mask with each residue m*s mod p, m = r - 1 down to 1, taken
-    by one % and looked up in the residue table one at a time: the oracle of
-    the strided slices of the tile."""
+    by one % and looked up in the first p bytes of the tile one at a time: the
+    oracle of the strided slices of the tile."""
     n_max = (p if p % 2 else p // 2) - 1
     step = min(k % p, -k % p)
-    negative = _negative_residues(p)
+    negative = _residue_tile(p)
     residues = map(p.__rmod__, range(step * n_max, 0, -step))
     b = int(bytes(map(negative.__getitem__, residues)) + b"0", 2)
     for i in range(n_max.bit_length()):
