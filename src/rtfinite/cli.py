@@ -270,6 +270,8 @@ def _cmd_verify_theorem(args) -> int:
 def _cmd_lattice_check(args) -> int:
     if args.samples < 1:
         raise UsageError("lattice-check needs --samples >= 1")
+    if args.seed < 0:  # Random(-n) draws what Random(n) draws
+        raise UsageError("lattice-check needs --seed >= 0")
     check_limit("--p", args.p, 2 * MAX_LATTICE_PHI + 2)  # phi(alpha_p) >= r - 1 >= p/2 - 1
     level = LevelContext.at(args.p)
     check_limit("phi(alpha_p)", level.phi_alpha, MAX_LATTICE_PHI)

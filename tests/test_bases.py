@@ -14,7 +14,7 @@ from rtfinite.bases import (
 from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings
 from rtfinite.errors import InvariantViolation, UsageError
-from rtfinite.quantum import ONE, eval_sign, qint
+from rtfinite.quantum import QuantumFactored, eval_sign, qint
 
 
 class TestColorSet:
@@ -76,7 +76,7 @@ class TestLollipopRatios:
     def test_one_step_closed_torus_is_unit(self):
         level = LevelContext.at(14)
         for i in range(5):
-            assert lollipop_ratio_step(level, 0, i) == ONE
+            assert lollipop_ratio_step(level, 0, i) == QuantumFactored(())
 
     def test_one_step_sign(self):
         level = LevelContext.at(14)
@@ -141,7 +141,7 @@ class TestLollipopRatios:
     def test_cumulative_closed_form_is_the_step_product(self, r):
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
             for c in range((r - 2) // 2 + 1):
-                product = ONE
+                product = QuantumFactored(())
                 for j in range(1, r - 1 - 2 * c):
                     product = product * lollipop_ratio_step(level, c, j - 1)
                     assert lollipop_ratio_cumulative(level, c, j) == product
@@ -177,7 +177,7 @@ class TestAdmissibleTriples:
 class TestThetaNormRatio:
     def test_base_vector(self):
         level = LevelContext.at(10)
-        assert theta_norm_ratio(level, (0, 0, 0)) == ONE
+        assert theta_norm_ratio(level, (0, 0, 0)) == QuantumFactored(())
 
     def test_p5_222(self):
         # the printed value [4]/([2]^2 [3]^2), negative at k = 3
@@ -207,7 +207,7 @@ class TestThetaNormRatio:
             if not is_admissible(level, a, a, 0):
                 continue
             value = theta_norm_ratio(level, (a, a, 0))
-            assert value == ONE
+            assert value == QuantumFactored(())
             assert eval_sign(value, emb) is Sign.POSITIVE
 
 

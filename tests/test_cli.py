@@ -311,6 +311,15 @@ class TestLatticeCheckCommand:
         assert out == ""
         assert capsys.readouterr().err == "usage error: lattice-check needs --samples >= 1\n"
 
+    @pytest.mark.parametrize("p", ["31", "9"])
+    def test_negative_seed_exits_with_usage(self, p, capsys):
+        # Random(-3) draws what Random(3) draws, so seed=-3 would label the
+        # seed-3 certificate; rejected before any work, as p = 9 is no level
+        code, out = run(["lattice-check", "--p", p, "--samples", "50", "--seed", "-3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == "usage error: lattice-check needs --seed >= 0\n"
+
 
 def test_invariant_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_USAGE, EXIT_INVARIANT} == {0, 2, 3}

@@ -56,24 +56,24 @@ def test_alpha(p, expected):
 class TestPsiNormSq:
     def test_zero(self):
         level = LevelContext.at(7)
-        zero = CyclotomicInteger.zero(level.alpha_p)
+        zero = reduce([], level.alpha_p)
         assert psi_norm_sq(zero, level) == 0
 
     def test_one(self):
         for p in (3, 7, 10, 14, 5):
             level = LevelContext.at(p)
-            one = CyclotomicInteger.one(level.alpha_p)
+            one = reduce([1], level.alpha_p)
             assert psi_norm_sq(one, level) == 1
 
     def test_root_of_unity(self):
         level = LevelContext.at(7)
-        a = CyclotomicInteger.monomial(level.alpha_p, 1)
+        a = reduce([0, 1], level.alpha_p)
         assert psi_norm_sq(a, level) == 1
 
     def test_order_mismatch_rejected(self):
         level = LevelContext.at(7)
         with pytest.raises(UsageError):
-            psi_norm_sq(CyclotomicInteger.one(10), level)
+            psi_norm_sq(reduce([1], 10), level)
 
     def test_matches_float_oracle(self):
         import cmath
@@ -114,7 +114,7 @@ class TestPsiNormSq:
         element = lattice_element(level, coeffs)
         norm = psi_norm_sq(element, level)
         assert psi_norm_sq(element.conjugate(), level) == norm
-        a = CyclotomicInteger.monomial(level.alpha_p, 1)
+        a = reduce([0, 1], level.alpha_p)
         assert psi_norm_sq(a * element, level) == norm
 
 
@@ -152,7 +152,7 @@ def test_reduce_is_the_identity_up_to_phi_coefficients(order):
 class TestNaiveNormFormula:
     def test_monomial(self):
         level = LevelContext.at(14)
-        a = CyclotomicInteger.monomial(level.alpha_p, 3)
+        a = reduce([0, 0, 0, 1], level.alpha_p)
         assert naive_norm_formula(a) == 1
 
     def test_sum_of_squares_prime_level(self):
@@ -186,6 +186,10 @@ class TestDiscretenessCertificate:
         level = LevelContext.at(p)
         one = bytes([COEFF_BOUND + 1]) + bytes([COEFF_BOUND] * (level.phi_alpha - 1))
         assert lattice._norm_numerator(one, 1, level.alpha_p, COEFF_BOUND) == level.phi_alpha
+
+    def test_negative_seed_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="seed"):
+            discreteness_certificate(LevelContext.at(31), 50, seed=-3)
 
     def test_a_numerator_below_phi_is_an_invariant_violation(self, monkeypatch, capsys):
         level = LevelContext.at(10)

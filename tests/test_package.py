@@ -90,20 +90,77 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def _names_read(tree, strings=False):
+    """Every name and attribute the tree loads; with strings, also every string
+    constant that is an identifier, as the tracer names what it wraps."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
+    return read
+
+
 def test_every_private_module_level_definition_is_read():
     # a private function or class that no module of the package reads, by name
     # or as an attribute, is left over from code that is gone
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*map(_names_read, trees.values()))
     unread = [f"{name}:{node.lineno} {node.name}"
               for name, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in read]
     assert unread == []
+
+
+def _public_definitions(trees):
+    """(label, name) for every public module-level function, class and
+    constant, and every non-dunder method of those classes."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                continue
+            found += [(f"{module}.{name}", name) for name in names if not name.startswith("_")]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not item.name.startswith("__")]
+    return found
+
+
+def test_every_public_definition_has_a_reader():
+    # a public definition is read in src/, exported by rtfinite, read by the
+    # acceptance spec, or named by the traced benchmark; what only the tracer
+    # names is pinned, so that list can only shrink as the tracer lets go
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    spec = ast.parse((PACKAGE_DIR.parents[1] / "tests" / "test_acceptance.py")
+                     .read_text(encoding="utf-8"))
+    readers = set().union(exported, _names_read(spec), *map(_names_read, trees.values()))
+    tracer = ast.parse((PERFBENCH_DIR / "replay.py").read_text(encoding="utf-8"))
+    named_by_tracer = _names_read(tracer, strings=True)
+    others = [(label, name) for label, name in _public_definitions(trees)
+              if name not in readers]
+    unread = [label for label, name in others if name not in named_by_tracer]
+    assert unread == []
+    assert {label for label, _ in others} == {
+        "CyclotomicInteger.conjugate", "CyclotomicInteger.trace",
+        "lattice.naive_norm_formula", "quantum.qfactorial",
+    }
 
 
 def test_no_class_defines_its_own_equality():
@@ -161,3 +218,12 @@ def test_every_module_name_in_the_readme_resolves():
     missing = sorted(f"{module}.{name}" for module, name in cited
                      if not hasattr(importlib.import_module(f"rtfinite.{module}"), name))
     assert len(cited) >= 15 and missing == []
+
+
+def test_every_limit_in_the_readme_is_the_cli_constant():
+    # a `MAX_... = N` span states the value of that constant in rtfinite.cli:
+    # a changed limit cannot leave the README's table stating the old one
+    spans = re.findall(r"`(MAX_\w+) = ([\d_]+)`", README.read_text(encoding="utf-8"))
+    assert len(spans) >= 4
+    assert {name: int(value) for name, value in spans} == {
+        name: getattr(cli, name) for name, _ in spans}

@@ -16,7 +16,6 @@ from rtfinite.context import LevelContext
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import (
-    ONE,
     _TILE_LAPS,
     QuantumFactored,
     _residue_tile,
@@ -43,19 +42,19 @@ class TestQuantumFactored:
         assert (qint(4) * qint(3)).factors == ((4, 1), (3, 1))
 
     def test_division_cancels(self):
-        assert (qint(5) * qint(2)) / (qint(2) * qint(5)) == ONE
+        assert (qint(5) * qint(2)) / (qint(2) * qint(5)) == QuantumFactored(())
 
     def test_pow(self):
         x = qint(3) / qint(2)
         assert x**2 == (qint(3) * qint(3)) / (qint(2) * qint(2))
         assert x**-1 == x.inverse() == qint(2) / qint(3)
-        assert x**0 == ONE
+        assert x**0 == QuantumFactored(())
 
     def test_str(self):
         value = (qint(5) * qint(4)) / (qint(3) * qint(3) * qint(2))
         assert str(value) == "[5][4]/([3]^2[2])"
-        assert str(ONE) == "1"
-        assert str(ONE / qint(2)) == "1/([2])"
+        assert str(QuantumFactored(())) == "1"
+        assert str(QuantumFactored(()) / qint(2)) == "1/([2])"
 
     def test_zero_is_rejected(self):
         # a symbol is a product of [n], n >= 1: no index 0
@@ -253,13 +252,13 @@ def _merged_ratio(num, den):
 @settings(max_examples=300, deadline=None)
 def test_factorial_ratio_runs_match_the_merge(num, den):
     assert qfactorial_ratio(num, den) == _merged_ratio(num, den)
-    assert qfactorial_ratio(num + den, den + num) == ONE
+    assert qfactorial_ratio(num + den, den + num) == QuantumFactored(())
 
 
 class TestEvalSign:
     def test_unit(self):
         for emb in embeddings(10):
-            assert eval_sign(ONE, emb) is Sign.POSITIVE
+            assert eval_sign(QuantumFactored(()), emb) is Sign.POSITIVE
 
     def test_known_ratio_p5(self):
         # [4]/([2]^2 [3]^2) carries the sign of [4]
@@ -285,10 +284,10 @@ class TestEvalSign:
     )
     @settings(max_examples=80, deadline=None)
     def test_multiplicative(self, ns, ms):
-        x = ONE
+        x = QuantumFactored(())
         for n, e in ns:
             x = x * qint(n) ** e if e >= 0 else x / qint(n) ** (-e)
-        y = ONE
+        y = QuantumFactored(())
         for n, e in ms:
             y = y * qint(n) ** e if e >= 0 else y / qint(n) ** (-e)
         for emb in embeddings(13):  # p = 13 prime: no [n] vanishes for n <= 12
@@ -305,7 +304,7 @@ class TestEvalSign:
         r = p if p % 2 else p // 2
         powers = data.draw(st.lists(
             st.tuples(st.integers(1, r - 1), st.integers(-3, 3)), max_size=6))
-        x = ONE
+        x = QuantumFactored(())
         for n, e in powers:
             x = x * qint(n) ** e
         for emb in embeddings(p):
@@ -367,7 +366,7 @@ class TestBracketAndTheta:
     def test_theta_trivial(self):
         for emb in embeddings(5):
             assert float_theta(0, 0, 0, emb) == 1.0
-        assert theta_norm_ratio(LevelContext.at(5), (0, 0, 0)) == ONE
+        assert theta_norm_ratio(LevelContext.at(5), (0, 0, 0)) == QuantumFactored(())
 
     def test_theta_222(self):
         for p in (7, 10):
@@ -385,7 +384,7 @@ class TestBracketAndTheta:
         # and 1/[n+1] at odd levels, where the colors are even
         for emb in embeddings(26):
             assert close(float_theta(n, n, 0, emb), float_bracket(n, emb))
-        assert theta_norm_ratio(LevelContext.at(26), (n, n, 0)) == ONE
+        assert theta_norm_ratio(LevelContext.at(26), (n, n, 0)) == QuantumFactored(())
         if n % 2 == 0:
             assert theta_norm_ratio(LevelContext.at(23), (n, n, 0)) == qint(n + 1).inverse()
 
@@ -426,4 +425,4 @@ class TestBracketAndTheta:
 
     def test_factorial(self):
         assert qfactorial(4) == qint(2) * qint(3) * qint(4)
-        assert qfactorial(1) == ONE
+        assert qfactorial(1) == QuantumFactored(())
