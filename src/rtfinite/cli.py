@@ -12,7 +12,6 @@ scan writes each level's records as soon as they are decided, so exit 3
 import io
 import os
 import sys
-import time
 from contextlib import ExitStack, contextmanager, suppress
 from math import gcd
 from types import SimpleNamespace
@@ -51,8 +50,9 @@ def check_limit(name: str, value: int, limit: int):
 
 
 def _record(verdict: FinitenessVerdict, parameters: dict, dimension, with_text: bool) -> dict:
-    """The untimed JSON object of a verdict, with ratio_text only when with_text
-    is set; _timed stamps its timing_s.  A theta coloring's witness text is
+    """The JSON object of a verdict, with ratio_text only when with_text is
+    set; timing_s is 0.0, so that a report depends only on argv (time per stage
+    belongs on stderr, not in a record).  A theta coloring's witness text is
     theta_norm_ratio's, with the coloring as a list; a lollipop index's is
     lollipop_ratio_cumulative's."""
     report, witness = verdict.report, verdict.report.witness
@@ -74,23 +74,15 @@ def _record(verdict: FinitenessVerdict, parameters: dict, dimension, with_text: 
 
 
 def _torus_records(verdicts: list[FinitenessVerdict], with_text: bool) -> list[dict]:
-    """The untimed records of one level's one-holed-torus verdicts."""
+    """The records of one level's one-holed-torus verdicts."""
     level = verdicts[0].report.level
     return [_record(v, {"command": "decide-torus", "r": level.r, "c": v.report.torus_c,
                         "p": level.p}, level.r - 1 - 2 * v.report.torus_c, with_text)
             for v in verdicts]
 
 
-def _timed(build) -> dict:
-    """build(), stamped with the wall time it took to decide and build."""
-    start = time.perf_counter()
-    rec = build()
-    rec["timing_s"] = round(time.perf_counter() - start, 6)
-    return rec
-
-
 def _scan_prime(r: int, with_text: bool) -> list[dict]:
-    """The untimed records of every c with a nonempty basis, 2c <= r - 3."""
+    """The records of every c with a nonempty basis, 2c <= r - 3."""
     return _torus_records(decide_torus_level(r), with_text)
 
 
@@ -100,15 +92,13 @@ def _write_report(levels, fmt: str, write):
     be held once it is written."""
     if fmt == "json":
         import json  # here, so that csv and text calls never load it
-        # json.dumps(records, indent=2), one record at a time: no string in a
-        # record holds a raw newline, so indenting each line indents the record
+        # json.dumps(records, indent=2) of all levels: a level's list without
+        # its brackets is its records at the report's indent
         sep = "[\n"
         for records in levels:
-            text = ""
-            for rec in records:
-                text += sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  ")
+            if records:
+                write(sep + json.dumps(records, indent=2)[2:-2])
                 sep = ",\n"
-            write(text)
         write("[]\n" if sep == "[\n" else "\n]\n")
         return
     if fmt == "csv":
@@ -151,7 +141,7 @@ def _output(out: Optional[str]):
     stdout.  The file is opened here: a path that cannot be written raises
     OSError before anything is written."""
     stdout = sys.stdout.write
-    if not out:
+    if out is None:
         yield stdout
         return
     with open(out, "w", encoding="utf-8") as fh:
@@ -167,10 +157,10 @@ def _cmd_decide_torus(args) -> int:
     if args.p_choice == "r" and args.format == "csv":
         # a csv row has no p column to tell it from a p = 2r row
         raise UsageError("--p-choice r prints json or text only, not csv")
-    rec = _timed(lambda: _torus_records([decide_torus(args.r, args.c, args.p_choice)],
-                                        args.format != "csv")[0])
+    records = _torus_records([decide_torus(args.r, args.c, args.p_choice)],
+                             args.format != "csv")
     with _output(args.out) as write:
-        write(_render([rec], args.format))
+        write(_render(records, args.format))
     return EXIT_OK
 
 
@@ -178,7 +168,7 @@ def _cmd_decide_closed(args) -> int:
     check_limit("--p", args.p, 2 * MAX_LEVEL_R)  # p <= 2r: no primality test on a huge p
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
     parameters = {"command": "decide-closed", "p": args.p, "g": args.g}
-    rec = _timed(lambda: _record(decide_closed(args.p, args.g), parameters, None, True))
+    rec = _record(decide_closed(args.p, args.g), parameters, None, True)
     with _output(args.out) as write:
         write(_render([rec], args.format))
     return EXIT_OK

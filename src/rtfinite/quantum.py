@@ -44,11 +44,8 @@ class QuantumFactored(NamedTuple):
     def __mul__(self, other: "QuantumFactored") -> "QuantumFactored":
         return QuantumFactored.from_factors(self.factors + other.factors)
 
-    def inverse(self) -> "QuantumFactored":
-        return QuantumFactored.from_factors((n, -e) for n, e in self.factors)
-
     def __truediv__(self, other: "QuantumFactored") -> "QuantumFactored":
-        return self * other.inverse()
+        return self * other ** -1
 
     def __pow__(self, e: int) -> "QuantumFactored":
         return QuantumFactored.from_factors((n, k * e) for n, k in self.factors)

@@ -425,20 +425,47 @@ class TestOptions:
         assert capsys.readouterr().err.startswith("usage error: ")
 
 
+# Every command with every report format it prints.
+REPORT_ARGV = [
+    *(["decide-torus", "--r", "7", "--c", "1", "--format", f] for f in ("json", "csv", "text")),
+    *(["decide-closed", "--p", "5", "--g", "2", "--format", f] for f in ("json", "text")),
+    *(["scan", "--r-max", "13", "--format", f, "--jobs", jobs]
+      for f in ("csv", "json", "text") for jobs in ("1", "2")),
+    ["verify-theorem", "--r-max", "13"],
+    ["lattice-check", "--p", "7", "--samples", "25"],
+]
+
+
 class TestOutFile:
-    @pytest.mark.parametrize("argv", [
-        *(["decide-torus", "--r", "7", "--c", "1", "--format", f] for f in ("json", "csv", "text")),
-        *(["decide-closed", "--p", "5", "--g", "2", "--format", f] for f in ("json", "text")),
-        *(["scan", "--r-max", "13", "--format", f, "--jobs", jobs]
-          for f in ("csv", "json", "text") for jobs in ("1", "2")),
-        ["verify-theorem", "--r-max", "13"],
-        ["lattice-check", "--p", "7", "--samples", "25"],
-    ], ids="-".join)
+    @pytest.mark.parametrize("argv", REPORT_ARGV, ids="-".join)
     def test_receives_the_bytes_printed_on_stdout(self, argv, tmp_path):
         target = tmp_path / "report"
         code, out = run([*argv, "--out", str(target)])
         assert code == EXIT_OK and out
         assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV, ids="-".join)
+def test_report_depends_only_on_argv(argv):
+    # no record carries a wall time: timing_s is 0.0 in every json record
+    first, second = run(argv), run(argv)
+    assert first == second
+    assert first[0] == EXIT_OK
+    if "json" in argv:
+        assert {rec["timing_s"] for rec in json.loads(first[1])} == {0.0}
+
+
+@pytest.mark.parametrize("argv", [["verify-theorem", "--r-max", "61"],
+                                  ["scan", "--r-max", "61", "--format", "json"]],
+                         ids=["verify-theorem", "scan-json"])
+def test_optimize_flag_prints_the_same_report(argv):
+    # python -O strips assert statements; no byte of a report may rest on one
+    src = str(Path(rtfinite.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, *flag, "-m", "rtfinite.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                           timeout=120, check=True).stdout
+            for flag in ([], ["-O"])]
+    assert outs[0] == outs[1] != b""
 
 
 class TestIOError:
@@ -450,6 +477,14 @@ class TestIOError:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ")
         assert not target.exists()
+
+    def test_empty_out_path(self, capsys):
+        # "" names no file: it fails to open as any other such path does
+        code, out = run(["decide-torus", "--r", "7", "--c", "1", "--out", ""])
+        assert code == EXIT_IO
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
 def _imported_by_cli(module: str) -> bool:
