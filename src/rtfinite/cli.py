@@ -96,10 +96,9 @@ def _write_report(levels, fmt: str, write):
         # its brackets is its records at the report's indent
         sep = "[\n"
         for records in levels:
-            if records:
-                write(sep + json.dumps(records, indent=2)[2:-2])
-                sep = ",\n"
-        write("[]\n" if sep == "[\n" else "\n]\n")
+            write(sep + json.dumps(records, indent=2)[2:-2])
+            sep = ",\n"
+        write("\n]\n")
         return
     if fmt == "csv":
         write("r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n")
@@ -218,7 +217,6 @@ def _cmd_verify_theorem(args) -> int:
     tally = {clause: [0, 0] for clause in (1, 2, 3, 4)}  # (disagree, agree)
     witness_misses = []
     for r in primes:
-        level = LevelContext.at(2 * r)
         for c, verdict in enumerate(decide_torus_level(r)):
             clause = verdict.clause
             if clause is None:
@@ -234,7 +232,7 @@ def _cmd_verify_theorem(args) -> int:
             # exactly when some <u_j>/<u_0> is negative there; clauses 2-3
             # claim the two-step ratio at i = 0, which is <u_2>/<u_0>
             k = clause_witness_k(r, clause)
-            x = negative_ratios(level, k, c)
+            x = negative_ratios(verdict.report.level, k, c)
             if not (x if clause == 4 else x >> 2 & 1):
                 witness_misses.append((clause, r, c, k))
     for clause, (bad, ok) in tally.items():

@@ -172,10 +172,9 @@ class EmbeddingIndex(namedtuple("EmbeddingIndex", "k p")):
         return super().__new__(cls, k, p)
 
 
-@lru_cache(maxsize=16)
 def embedding_ks(p: int) -> tuple[int, ...]:
-    """The canonical k <= p with gcd(k, 2p) = 1, ascending: one tuple per
-    level, read by embeddings() and by the sign matrix of a torus report."""
+    """The canonical k <= p with gcd(k, 2p) = 1, ascending, read by
+    embeddings() and by the sign matrix of a torus report."""
     return tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1)
 
 

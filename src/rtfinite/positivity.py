@@ -11,7 +11,6 @@ clauses of the one-holed-torus theorem.
 """
 
 import enum
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .bases import (_check_lollipop_color, admissible_triples, lollipop_ratio_step,
@@ -137,18 +136,13 @@ def negative_ratios(level: LevelContext, k: int, c: int) -> int:
     bit 0 of that is the bracket, as N(0) = 0, and when odd it inverts them
     all.  Every index is at most r - 1, where no quantum integer vanishes.
 
-    Two shapes have an X that needs no B:
-    - c = 0: the shifts are (B >> 1) ^ B ^ (B >> 1) ^ B = 0, bit 0 included,
-      so X = 0 at every k (every ratio of the closed torus is 1);
-    - one ratio, 2c = r - 3: with d(m) = 1 when [m] < 0 at k, so that
-      B(m) ^ B(m-1) = d(m), bit 1 of X after the bit-0 inversion is
-      d(2c+2) ^ d(1) ^ d(c+2) ^ d(c+1), the sign of the step ratio
-      [2c+2][1]/([c+2][c+1]); [1] = 1, so it is the sign of the product
-      [2c+2][c+2][c+1] (qint_product_negative).
+    The one ratio of 2c = r - 3 needs no B: with d(m) = 1 when [m] < 0 at k,
+    so that B(m) ^ B(m-1) = d(m), bit 1 of X after the bit-0 inversion is
+    d(2c+2) ^ d(1) ^ d(c+2) ^ d(c+1), the sign of the step ratio
+    [2c+2][1]/([c+2][c+1]); [1] = 1, so it is the sign of the product
+    [2c+2][c+2][c+1] (qint_product_negative).
     """
     p, r = level.p, level.r
-    if c == 0:
-        return 0
     if 2 * c == r - 3:
         return qint_product_negative(p, k, (2 * c + 2, c + 2, c + 1)) << 1
     b = qint_sign_values(p, k)
@@ -160,10 +154,12 @@ def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
     """The verdict of each color c in cs, whose witness is the lowest set bit
     (k, j) of its first nonzero X (negative_ratios), or None.  One walk over
     k = 1, 3, .., r - 2 (2r - k has k's folded step) reads X at k for every
-    color still open; a color leaves at its witness.  c = 0 never opens
-    (X = 0).  The open colors ask negative_ratios for the same (p, k) in turn,
-    so the first one that needs the parity mask builds it and the cache of
-    qint_sign_values serves it to the rest."""
+    color still open; a color leaves at its witness.  c = 0 never opens: its
+    shifts are (B >> 1) ^ B ^ (B >> 1) ^ B = 0, bit 0 included, so X = 0 at
+    every k (every ratio of the closed torus is 1).  The open colors ask
+    negative_ratios for the same (p, k) in turn, so the first one that needs
+    the parity mask builds it and the cache of qint_sign_values serves it to
+    the rest."""
     r = level.r
     witnesses = dict.fromkeys(cs)
     colors = [c for c in witnesses if c]
@@ -229,10 +225,9 @@ def clause_witness_k(r: int, clause: int) -> Optional[int]:
     return next((n // d for n in (2 * r + 1, 2 * r - 1) if d and n % d == 0), None)
 
 
-@lru_cache(maxsize=None)
 def _torus_level(r: int, p_choice: str) -> LevelContext:
-    """The level of decide_torus, with r and p_choice checked once per level
-    rather than once per color."""
+    """The level of decide_torus and decide_torus_level, after checking r and
+    p_choice."""
     if r < 3 or not isprime(r):
         raise UsageError(f"r must be an odd prime, got {r}")
     if p_choice not in ("r", "2r"):

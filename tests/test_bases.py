@@ -167,6 +167,14 @@ class TestAdmissibleTriples:
         triples = [tuple(t) for t in admissible_triples(LevelContext.at(10))]
         assert triples == sorted(triples)
 
+    def test_odd_color_only_at_even_level(self):
+        # (1, 1, 2) passes parity, the triangle and the 2r - 4 bound at p = 7;
+        # only the color set rejects it there
+        assert not is_admissible(LevelContext.at(7), 1, 1, 2)
+        assert is_admissible(LevelContext.at(14), 1, 1, 2)
+        with pytest.raises(UsageError):
+            theta_norm_ratio(LevelContext.at(7), (1, 1, 2))
+
     @pytest.mark.parametrize("r", list(primerange(5, 60)))
     def test_largest_sum_is_2r_minus_4_at_both_levels(self, r):
         for p in (r, 2 * r):

@@ -364,6 +364,8 @@ BAD_ARGV = {
     "ambiguous-prefix": ["lattice-check", "--p", "7", "--s", "5"],
     "not-an-int": ["lattice-check", "--p", "x"],
     "missing-required": ["lattice-check", "--samples", "5"],
+    "missing-value": ["lattice-check", "--p"],
+    "option-as-value": ["lattice-check", "--p", "--samples", "5"],
     "unknown-command": ["decide-everything", "--p", "7"],
     "no-command": [],
 }

@@ -236,11 +236,9 @@ class TestEmbeddings:
         assert embeddings(5) == [EmbeddingIndex(1, 5), EmbeddingIndex(3, 5)]
 
     def test_one_tuple_per_level(self):
-        # every level p <= 400 of a prime r: the gcd filter, built once
+        # every level p <= 400 of a prime r: the gcd filter
         for p in sorted({q for r in sympy.primerange(3, 401) for q in (r, 2 * r) if q <= 400}):
-            ks = embedding_ks(p)
-            assert ks == tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1), p
-            assert embedding_ks(p) is ks, p
+            assert embedding_ks(p) == tuple(k for k in range(1, p + 1) if gcd(k, 2 * p) == 1), p
 
     def test_rejects_shared_factor(self):
         with pytest.raises(UsageError):
@@ -278,6 +276,13 @@ class TestSinSign:
         if abs(value) > 1e-9:
             expected = Sign.POSITIVE if value > 0 else Sign.NEGATIVE
             assert sin_sign(m, p) is expected
+
+
+@pytest.mark.parametrize("call", [lambda: sin_sign(1, 2), lambda: cyclotomic_polynomial(0)],
+                         ids=["sin_sign(1, 2)", "cyclotomic_polynomial(0)"])
+def test_input_out_of_range_is_a_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_cyclotomic_polynomial_values():

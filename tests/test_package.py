@@ -163,6 +163,27 @@ def test_every_public_definition_has_a_reader():
     }
 
 
+def test_every_cache_is_listed():
+    # a new functools cache, or a new size for one, is a reviewed change to
+    # this list
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(f"rtfinite.{path.stem}")
+        owners = [module, *(v for v in vars(module).values()
+                            if isinstance(v, type) and v.__module__ == module.__name__)]
+        for owner in owners:
+            for value in vars(owner).values():
+                if (hasattr(value, "cache_parameters")
+                        and getattr(value, "__module__", None) == module.__name__):
+                    found[f"{path.stem}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
+    assert found == {
+        "context.totient": None, "context._level_context": None,
+        "cyclotomic.cyclotomic_polynomial": None, "cyclotomic.trace_table": None,
+        "lattice._ramanujan_weights": None,
+        "quantum.qfactorial": None, "quantum._residue_tile": 1, "quantum.qint_sign_values": 4096,
+    }
+
+
 def test_no_class_defines_its_own_equality():
     # results are plain values: a class that needs its own __eq__, __ne__ or
     # __hash__ holds something that does not compare as a value

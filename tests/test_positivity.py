@@ -475,7 +475,8 @@ def _general_masks(level, c):
 
 
 class TestMasklessShapes:
-    """c = 0 and the one ratio of 2c = r - 3 are read without a parity mask."""
+    """The one ratio of 2c = r - 3 is read without a parity mask, and the
+    witness search never opens c = 0, whose X is 0 at every k."""
 
     @pytest.mark.parametrize("r", list(primerange(3, 400)))
     def test_equal_the_general_masks(self, r):
@@ -583,11 +584,10 @@ class TestTorusLevel:
     def test_checked_once_per_level(self, monkeypatch):
         calls = []
         monkeypatch.setattr(positivity, "isprime", lambda n: calls.append(n) or isprime(n))
-        positivity._torus_level.cache_clear()
         for c in range(10):
             decide_torus(23, c)
             decide_torus(23, c, "r")
-        assert calls == [23, 23]
+        assert calls == [23] * 20  # each call tests r once
 
     @pytest.mark.parametrize("args,message", [
         ((9, 1), "r must be an odd prime, got 9"),
@@ -595,7 +595,7 @@ class TestTorusLevel:
         ((7, 1, "3r"), "p_choice must be 'r' or '2r', got '3r'"),
     ])
     def test_usage_errors_every_call(self, args, message):
-        for _ in range(2):  # a failed check is not cached
+        for _ in range(2):  # each call checks r and p_choice
             with pytest.raises(UsageError) as exc:
                 decide_torus(*args)
             assert str(exc.value) == message
@@ -613,7 +613,6 @@ class TestRecordSemantics:
     def test_equal_across_calls(self, decide):
         first = decide()
         context._level_context.cache_clear()
-        positivity._torus_level.cache_clear()
         second = decide()
         assert first == second
         assert not first != second
