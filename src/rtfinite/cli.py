@@ -5,14 +5,14 @@ Exit codes: 0 = completed, 2 = usage error, 3 = internal invariant
 violation (a cross-check disagreement in verify-theorem, an integrality
 failure in lattice-check, or an InvariantViolation raised by the library),
 4 = i/o error (an OSError, such as an --out path that cannot be written).
-scan writes each level's records as soon as they are decided, so exit 3
-(or 4) can follow part of its report on stdout.
+Each command returns its exit code and its report, and main alone writes the
+report: to --out, if given, and to stdout.  scan's report decides each level
+as main asks for its records, so exit 3 (or 4) can follow part of it on stdout.
 """
 
-import io
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, nullcontext, suppress
 from math import gcd
 from types import SimpleNamespace
 from typing import Optional
@@ -86,25 +86,25 @@ def _scan_prime(r: int, with_text: bool) -> list[dict]:
     return _torus_records(decide_torus_level(r), with_text)
 
 
-def _write_report(levels, fmt: str, write):
-    """Write the report of levels, an iterable of record lists, through write
-    with one call per list as the iterable yields it, so that a list need not
-    be held once it is written."""
+def _report(levels, fmt: str):
+    """The pieces of the report of levels, an iterable of record lists, one
+    piece per list as the iterable yields it, so that a list need not be held
+    once its piece is written."""
     if fmt == "json":
         import json  # here, so that csv and text calls never load it
         # json.dumps(records, indent=2) of all levels: a level's list without
         # its brackets is its records at the report's indent
         sep = "[\n"
         for records in levels:
-            write(sep + json.dumps(records, indent=2)[2:-2])
+            yield sep + json.dumps(records, indent=2)[2:-2]
             sep = ",\n"
-        write("\n]\n")
+        yield "\n]\n"
         return
     if fmt == "csv":
-        write("r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n")
+        yield "r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n"
     line = _csv_row if fmt == "csv" else _text_line
     for records in levels:
-        write("".join(map(line, records)))
+        yield "".join(map(line, records))
 
 
 def _csv_row(rec: dict) -> str:
@@ -129,48 +129,25 @@ def _text_line(rec: dict) -> str:
 
 
 def _render(records: list[dict], fmt: str) -> str:
-    buf = io.StringIO()
-    _write_report([records], fmt, buf.write)
-    return buf.getvalue()
+    return "".join(_report([records], fmt))
 
 
-@contextmanager
-def _output(out: Optional[str]):
-    """The write of stdout, or with --out one that writes that file and then
-    stdout.  The file is opened here: a path that cannot be written raises
-    OSError before anything is written."""
-    stdout = sys.stdout.write
-    if out is None:
-        yield stdout
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        def write(text: str):
-            fh.write(text)
-            stdout(text)
-
-        yield write
-
-
-def _cmd_decide_torus(args) -> int:
+def _cmd_decide_torus(args) -> tuple:
     check_limit("r", args.r, MAX_LEVEL_R)
     if args.p_choice == "r" and args.format == "csv":
         # a csv row has no p column to tell it from a p = 2r row
         raise UsageError("--p-choice r prints json or text only, not csv")
     records = _torus_records([decide_torus(args.r, args.c, args.p_choice)],
                              args.format != "csv")
-    with _output(args.out) as write:
-        write(_render(records, args.format))
-    return EXIT_OK
+    return EXIT_OK, [_render(records, args.format)]
 
 
-def _cmd_decide_closed(args) -> int:
+def _cmd_decide_closed(args) -> tuple:
     check_limit("--p", args.p, 2 * MAX_LEVEL_R)  # p <= 2r: no primality test on a huge p
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
     parameters = {"command": "decide-closed", "p": args.p, "g": args.g}
     rec = _record(decide_closed(args.p, args.g), parameters, None, True)
-    with _output(args.out) as write:
-        write(_render([rec], args.format))
-    return EXIT_OK
+    return EXIT_OK, [_render([rec], args.format)]
 
 
 def scan_workers(jobs: int, cpu_count: Optional[int], tasks: int) -> int:
@@ -188,28 +165,32 @@ def _sweep_primes(command: str, r_max: int) -> list[int]:
     return list(primerange(5, r_max + 1))
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple:
     primes = _sweep_primes("scan", args.r_max)
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
     with_text = [args.format != "csv"] * len(primes)
-    # each level's records are written as soon as it is decided: pool.map and
-    # map keep the primes in order, and each level's records are in ascending c
-    with _output(args.out) as write, ExitStack() as stack:
-        level_map = map
-        if jobs > 1:
-            # imported here: the pool machinery is most of the import time of
-            # a single-process call
-            from concurrent.futures import ProcessPoolExecutor
 
-            level_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        _write_report(level_map(_scan_prime, primes, with_text), args.format, write)
-    return EXIT_OK
+    # nothing runs until main asks for the first piece, after --out is open;
+    # then each level's piece follows as soon as it is decided: pool.map and
+    # map keep the primes in order, and each level's records are in ascending c
+    def report():
+        with ExitStack() as stack:
+            level_map = map
+            if jobs > 1:
+                # imported here: the pool machinery is most of the import time
+                # of a single-process call
+                from concurrent.futures import ProcessPoolExecutor
+
+                level_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            yield from _report(level_map(_scan_prime, primes, with_text), args.format)
+
+    return EXIT_OK, report()
 
 
 CLOSED_TABLE_LEVELS = (3, 5, 6, 7, 10, 14)
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args) -> tuple:
     primes = _sweep_primes("verify-theorem", args.r_max)
     from .positivity import clause_witness_k, negative_ratios
 
@@ -249,13 +230,11 @@ def _cmd_verify_theorem(args) -> int:
         f"closed-surface table p in {CLOSED_TABLE_LEVELS} g in (1,2,3): "
         f"{f'{len(closed_bad)} disagreements' if closed_bad else 'all agree'}"
     )
-    with _output(args.out) as write:
-        write("\n".join(lines) + "\n")
     failed = closed_bad or any(bad for bad, _ in tally.values())
-    return EXIT_INVARIANT if failed else EXIT_OK
+    return EXIT_INVARIANT if failed else EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-def _cmd_lattice_check(args) -> int:
+def _cmd_lattice_check(args) -> tuple:
     if args.samples < 1:
         raise UsageError("lattice-check needs --samples >= 1")
     if args.seed < 0:  # Random(-n) draws what Random(n) draws
@@ -275,13 +254,14 @@ def _cmd_lattice_check(args) -> int:
         f"displayed closed form vs exact trace: {report.formula_agreements} agree, "
         f"{report.formula_disagreements} differ",
     ]
-    with _output(args.out) as write:
-        write("\n".join(lines) + "\n")
-    return EXIT_OK  # a sample that fails integrality raises InvariantViolation
+    # a sample that fails integrality raises InvariantViolation
+    return EXIT_OK, ["\n".join(lines) + "\n"]
 
 
-# Each command's handler, one-line help and options.  An option is an int, a
-# str or a tuple of choices, with its default, or ... when it is required.
+# Each command's handler, one-line help and options.  A handler returns its
+# exit code and its report, an iterable of text pieces, and writes nothing.
+# An option is an int, a str or a tuple of choices, with its default, or ...
+# when it is required.
 _OUT = {"out": (str, None)}
 _REPORT = {"format": (("json", "csv", "text"), "text"), **_OUT}
 COMMANDS = {
@@ -348,13 +328,22 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    """Run argv's command and write its report, each piece to the --out file
+    (opened once the command returns, so that a bad argument or a failed
+    decision leaves no file) and then to stdout."""
     try:
         handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         sys.exit(EXIT_USAGE)
     try:
-        return handler(args)
+        code, report = handler(args)
+        with open(args.out, "w", encoding="utf-8") if args.out is not None else nullcontext() as fh:
+            for piece in report:
+                if fh:
+                    fh.write(piece)
+                sys.stdout.write(piece)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

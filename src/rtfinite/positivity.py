@@ -46,7 +46,11 @@ class PositivityReport(NamedTuple):
     """Witness and the sign entries that lead to it.
 
     The witness is the first (embedding k, ratio id) in scan order at which
-    a ratio is negative, or None; the verdict is read off it.  sign_matrix
+    a ratio is negative, or None; the verdict is read off it.  The one
+    exception is decide_closed's r = 5 witness, which is designated, not
+    searched for, and pinned by acceptance 5 (ROADMAP item 3): (3, (2, 2, 2))
+    at p = 5, where (2, 2, 2) is already negative at k = 1, and (3, (2, 1, 1))
+    at p = 10, where (3, (1, 1, 2)) comes first in scan order.  sign_matrix
     maps each (k, ratio id) in scan order (ascending k, then ratio) to its
     Sign: every entry when there is no witness, otherwise the entries up to
     and including the witness.  A symbol scan stores those ((k, ratio id),
@@ -274,6 +278,9 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
     admissible-coloring norm, r = 5 by the designated genus-2 theta witness
     (embedded by zero-coloring for g >= 3), and r >= 7 through the
     non-complete-positivity of the one-holed torus at boundary color 1.
+    The r = 5 witness, (3, (2, 2, 2)) at p = 5 and (3, (2, 1, 1)) at p = 10,
+    is not the first negative entry in scan order: it is designated, and
+    pinned by acceptance 5 (ROADMAP item 3).
 
     The verdict is cross-checked against the closed-surface rule, finite
     exactly when g = 1 or r = 3: Funar's result (L. Funar, On the TQFT

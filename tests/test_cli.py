@@ -112,9 +112,12 @@ class TestDecideClosedCommand:
         assert code == EXIT_OK
         assert "finite" in out
 
-    def test_bad_genus(self):
-        code, _ = run(["decide-closed", "--p", "10", "--g", "0"])
-        assert code == EXIT_USAGE
+    def test_bad_genus(self, tmp_path):
+        # decide_closed rejects genus 0 before the --out file is opened
+        target = tmp_path / "report"
+        code, out = run(["decide-closed", "--p", "10", "--g", "0", "--out", str(target)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert not target.exists()
 
 
 class TestScanCommand:
@@ -166,10 +169,11 @@ class TestScanCommand:
 
     def test_csv_sweep_to_1999_is_pinned(self):
         # the report scan --r-max 1999 --format csv would print, were
-        # MAX_SWEEP_R above 1999; it is hashed as it is written, not held
+        # MAX_SWEEP_R above 1999; it is hashed piece by piece, not held
         digest = hashlib.sha256()
         levels = (cli._scan_prime(r, False) for r in primerange(5, 2000))
-        cli._write_report(levels, "csv", lambda text: digest.update(text.encode()))
+        for piece in cli._report(levels, "csv"):
+            digest.update(piece.encode())
         assert digest.hexdigest()[:16] == "70c4abeeac921adb"
 
 
@@ -201,13 +205,16 @@ class TestScanWorkers:
 
 
 class TestInvariantViolation:
-    def test_exit_code_and_one_line_message(self, monkeypatch, capsys):
-        # the sign builder raises at k = 0 (mod p), where [1] vanishes
+    def test_exit_code_and_one_line_message(self, monkeypatch, capsys, tmp_path):
+        # the sign builder raises at k = 0 (mod p), where [1] vanishes, before
+        # the --out file is opened
         build = positivity.qint_sign_values
         monkeypatch.setattr(positivity, "qint_sign_values", lambda p, k: build(p, 0))
-        code, out = run(["decide-torus", "--r", "7", "--c", "1"])
+        target = tmp_path / "report"
+        code, out = run(["decide-torus", "--r", "7", "--c", "1", "--out", str(target)])
         assert code == EXIT_INVARIANT
         assert out == ""
+        assert not target.exists()
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: ")
         assert err.count("\n") == 1
@@ -247,7 +254,7 @@ class TestVerifyTheoremCommand:
         assert re.search(r"^clause 1: \d+ instances, \d+ agree, 1 disagree$", out, re.M)
         assert "closed-surface table p in (3, 5, 6, 7, 10, 14) g in (1,2,3): all agree" in out
 
-    def test_closed_table_disagreement_exits_3(self, monkeypatch):
+    def test_closed_table_disagreement_exits_3(self, monkeypatch, tmp_path):
         decide = cli.decide_closed
 
         def disagree(p, g):
@@ -257,11 +264,13 @@ class TestVerifyTheoremCommand:
             return verdict
 
         monkeypatch.setattr(cli, "decide_closed", disagree)
-        code, out = run(["verify-theorem", "--r-max", "11"])
+        target = tmp_path / "report"
+        code, out = run(["verify-theorem", "--r-max", "11", "--out", str(target)])
         assert code == EXIT_INVARIANT
         assert "DISAGREE clause" not in out
         assert "DISAGREE closed p=10 g=2\n" in out
         assert out.endswith("g in (1,2,3): 1 disagreements\n")
+        assert target.read_bytes() == out.encode()  # the report of a failed check
 
     def test_clause4_witness_k_is_the_designated_one(self, monkeypatch):
         designated = positivity.clause_witness_k
@@ -445,6 +454,16 @@ class TestOutFile:
         code, out = run([*argv, "--out", str(target)])
         assert code == EXIT_OK and out
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", REPORT_ARGV, ids="-".join)
+    def test_handler_returns_its_code_and_report_and_writes_nothing(self, argv, capsys):
+        # main alone writes: a handler returns (exit code, iterable of str)
+        handler, args = cli.parse_args(argv)
+        code, report = handler(args)
+        pieces = list(report)
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_OK and all(isinstance(piece, str) for piece in pieces)
+        assert run(argv) == (code, "".join(pieces))
 
 
 @pytest.mark.parametrize("argv", REPORT_ARGV, ids="-".join)

@@ -228,6 +228,27 @@ def test_every_raise_is_a_usage_error_or_an_invariant_violation():
     assert others == []
 
 
+def test_only_cli_main_opens_a_file_or_reads_out():
+    # one sink: main opens --out, or nothing, and writes the report the
+    # command returned; no other function opens a file or reads an .out
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+            found.add((scope, "open"))
+        elif isinstance(node, ast.Attribute) and node.attr == "out":
+            found.add((scope, ".out"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {("cli.main", "open"), ("cli.main", ".out")}
+
+
 def test_every_module_name_in_the_readme_resolves():
     # a code span that starts with `<submodule>.<name>`, with or without call
     # arguments, names an attribute of that module: a rename cannot leave the

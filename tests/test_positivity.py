@@ -424,6 +424,18 @@ class TestDecideClosed:
         verdict = decide_closed(10, 2)
         assert verdict.report.witness == (3, (2, 1, 1))
 
+    def test_r5_witnesses_are_designated_not_first_in_scan_order(self):
+        # at p = 5 the witness coloring is negative at k = 1 already, and at
+        # p = 10 (1, 1, 2) precedes (2, 1, 1) at k = 3, the first negative k
+        level5, level10 = LevelContext.at(5), LevelContext.at(10)
+        assert decide_closed(5, 2).report.witness == (3, (2, 2, 2))
+        assert eval_sign(theta_norm_ratio(level5, (2, 2, 2)),
+                         EmbeddingIndex(1, 5)) is Sign.NEGATIVE
+        assert decide_closed(10, 2).report.witness == (3, (2, 1, 1))
+        first = next((emb.k, t) for emb in embeddings(10) for t in admissible_triples(level10)
+                     if eval_sign(theta_norm_ratio(level10, t), emb) is Sign.NEGATIVE)
+        assert first == (3, (1, 1, 2))
+
     def test_p6_all_genera_finite(self):
         for g in (1, 2, 3, 4):
             assert decide_closed(6, g).verdict is Finiteness.FINITE
