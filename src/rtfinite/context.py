@@ -1,8 +1,9 @@
 """Level bookkeeping and the elementary number theory it rests on.
 
-A *level* is an integer p with p = r or p = 2r for an odd prime r.  The
-LevelContext bundles p, r, the auxiliary order alpha_p used by the lattice
-machinery, and the set of valid edge colors at that level.
+A *level* is an integer p with p = r or p = 2r for an odd prime r.  A
+LevelContext stores only the pair (p, r); the auxiliary order alpha_p of the
+lattice machinery, its totient phi(alpha_p) and the valid edge colors are
+derived from that pair when read.
 """
 
 from functools import lru_cache
@@ -100,37 +101,33 @@ def level_prime(p: int) -> int:
 
 
 class LevelContext(NamedTuple):
-    """Root object for all computations at a fixed level p."""
+    """A level, stored as its defining pair (p, r) with p = r or p = 2r.
+
+    alpha_p, phi(alpha_p) and the colors are computed from p and r when read,
+    so two contexts of one level compare and hash equal.
+    """
 
     p: int
     r: int
-    alpha_p: int
-    phi_alpha: int
-    colors: range
 
     @classmethod
     def at(cls, p: int) -> "LevelContext":
-        return _level_context(cls, p)
+        return cls(p, level_prime(p))
 
     @property
     def is_even_level(self) -> bool:
         return self.p == 2 * self.r
 
+    @property
+    def alpha_p(self) -> int:
+        """The order of the lattice ring: p itself when p = 3 (mod 4), otherwise 4r."""
+        return self.p if self.p % 4 == 3 else 4 * self.r
 
-@lru_cache(maxsize=None)
-def _level_context(cls, p: int) -> LevelContext:
-    """LevelContext.at, cached: every decision at a level shares one context."""
-    r = level_prime(p)
-    if p == 2 * r:
-        colors = range(r - 1)
-    else:
-        colors = range(0, p - 2, 2)
-    # alpha_p: p itself when p = 3 (mod 4), otherwise 4r
-    a = p if p % 4 == 3 else 4 * r
-    return cls(
-        p=p,
-        r=r,
-        alpha_p=a,
-        phi_alpha=totient(a),
-        colors=colors,
-    )
+    @property
+    def phi_alpha(self) -> int:
+        return totient(self.alpha_p)
+
+    @property
+    def colors(self) -> range:
+        """The edge colors: 0 .. r - 2 at p = 2r, the even ones below p - 2 at p = r."""
+        return range(self.r - 1) if self.is_even_level else range(0, self.p - 2, 2)

@@ -6,7 +6,8 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -434,6 +435,50 @@ class TestOptions:
         # --c -1 reaches the library, which rejects the color
         assert run(["decide-torus", "--r", "7", "--c", "-1"]) == (EXIT_USAGE, "")
         assert capsys.readouterr().err.startswith("usage error: ")
+
+
+# Edge values of every command's arguments, crossed with every format and
+# --p-choice: levels that are no level, levels past the limits, and sizes
+# below 0, at 0 and just above.
+EDGE_LEVELS = ["-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "10", "14", "22", "3998", "4001"]
+EDGE_SMALL = ["-1", "0", "1", "2", "3"]
+EDGE_R_MAX = ["-1", "4", "5", "7", "11", "501"]
+EDGE_GRID = {
+    "decide-torus": [
+        ["--r", r, "--c", c, "--format", f, "--p-choice", choice] for r, c, f, choice
+        in product(EDGE_LEVELS, EDGE_SMALL, ("json", "csv", "text"), ("r", "2r"))],
+    "decide-closed": [["--p", p, "--g", g, "--format", f]
+                      for p, g, f in product(EDGE_LEVELS, EDGE_SMALL, ("json", "text"))],
+    "scan": [["--r-max", r_max, "--format", f]
+             for r_max, f in product(EDGE_R_MAX, ("json", "csv", "text"))],
+    "verify-theorem": [["--r-max", r_max] for r_max in EDGE_R_MAX],
+    "lattice-check": [["--p", p, "--samples", samples, "--seed", seed]
+                      for p, samples, seed in product(EDGE_LEVELS, EDGE_SMALL, EDGE_SMALL)],
+}
+
+
+@pytest.mark.parametrize("command,admitted", [
+    ("decide-torus", 30), ("decide-closed", 48), ("scan", 9), ("verify-theorem", 3),
+    ("lattice-check", 84),
+])
+def test_edge_arguments_exit_0_or_2(command, admitted):
+    # every call prints its report, or is refused with one stderr line before
+    # it prints anything; none reaches an invariant, an i/o error or a traceback
+    codes = []
+    for args in EDGE_GRID[command]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([command, *args])
+            except SystemExit as exc:
+                code = exc.code
+        if code == EXIT_OK:
+            assert out.getvalue() and not err.getvalue(), args
+        else:
+            assert code == EXIT_USAGE and not out.getvalue(), args
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), args
+        codes.append(code)
+    assert codes.count(EXIT_OK) == admitted
 
 
 # Every command with every report format it prints.

@@ -92,15 +92,21 @@ class TestLevelContext:
         # p = r = 3 (mod 4): alpha_p = r itself, so totient meets a large prime
         assert LevelContext.at(r).phi_alpha == r - 1
 
-    def test_at_is_a_cached_classmethod(self):
+    def test_at_is_a_classmethod(self):
         assert isinstance(vars(LevelContext)["at"], classmethod)
-        assert LevelContext.at(22) is LevelContext.at(22)
+        assert LevelContext.at(22) == LevelContext.at(22)
+        assert hash(LevelContext.at(22)) == hash(LevelContext.at(22))
         with pytest.raises(UsageError):
             LevelContext.at(9)
 
+    def test_a_level_stores_its_pair(self):
+        assert LevelContext._fields == ("p", "r")
+        assert LevelContext.at(22) == (22, 11)
+        assert not hasattr(context, "_level_context")
+
     def test_a_new_level_tests_r_once(self, monkeypatch):
-        # level_prime tests r = 151 once; totient(4r) then tests 604 and its
-        # cofactor 151
+        # level_prime tests r = 151 once; reading phi(alpha_p) = totient(4r)
+        # then tests 604 and its cofactor 151
         calls = []
 
         def record(n):
@@ -108,9 +114,10 @@ class TestLevelContext:
             return isprime(n)
 
         monkeypatch.setattr(context, "isprime", record)
-        context._level_context.cache_clear()
+        level = LevelContext.at(302)
+        assert calls == [151]
         totient.cache_clear()
-        assert LevelContext.at(302).alpha_p == 604
+        assert level.phi_alpha == 300
         assert calls == [151, 604, 151]
 
     @pytest.mark.parametrize("p", [2**61 - 1 + 2, 2 * (2**61 + 1), 2 * 561])

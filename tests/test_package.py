@@ -7,6 +7,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import rtfinite
 from rtfinite import bases, cli, context, cyclotomic, lattice, positivity, quantum
 from rtfinite.context import LevelContext
@@ -177,7 +179,7 @@ def test_every_cache_is_listed():
                         and getattr(value, "__module__", None) == module.__name__):
                     found[f"{path.stem}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
     assert found == {
-        "context.totient": None, "context._level_context": None,
+        "context.totient": None,
         "cyclotomic.cyclotomic_polynomial": None, "cyclotomic.trace_table": None,
         "lattice._ramanujan_weights": None,
         "quantum.qfactorial": None, "quantum._residue_tile": 1, "quantum.qint_sign_values": 4096,
@@ -269,3 +271,25 @@ def test_every_limit_in_the_readme_is_the_cli_constant():
     assert len(spans) >= 4
     assert {name: int(value) for name, value in spans} == {
         name: getattr(cli, name) for name, _ in spans}
+
+
+def _oldest_python() -> tuple[int, int]:
+    # pyproject.toml's requires-python, ">=3.10" read as (3, 10)
+    text = (PACKAGE_DIR.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_oldest_python())
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    pass\nexcept* ValueError:\n    pass\n",
+    "type Pair = tuple[int, int]\n",
+    "def first[T](xs: list[T]) -> T:\n    return xs[0]\n",
+], ids=["except-star", "type-alias", "type-parameters"])
+def test_the_parse_check_rejects_newer_syntax(source):
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=_oldest_python())

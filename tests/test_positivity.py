@@ -8,7 +8,7 @@ from sympy import primerange
 
 from rtfinite.bases import (admissible_triples, lollipop_ratio_cumulative, lollipop_ratio_step,
                             theta_norm_ratio)
-from rtfinite import context, positivity
+from rtfinite import positivity
 from rtfinite.cli import EXIT_OK, main
 from rtfinite.context import LevelContext, isprime
 from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings
@@ -624,7 +624,6 @@ class TestRecordSemantics:
     ], ids=["decide_torus(97, 5)", "its report", "decide_closed(14, 3)", "LevelContext.at(14)"])
     def test_equal_across_calls(self, decide):
         first = decide()
-        context._level_context.cache_clear()
         second = decide()
         assert first == second
         assert not first != second
@@ -710,6 +709,19 @@ class TestLevelPass:
         with redirect_stdout(io.StringIO()):
             assert main(["scan", "--r-max", "151", "--format", "csv", "--jobs", "1"]) == EXIT_OK
         assert qint_sign_values.cache_info().misses == 839
+
+    @pytest.mark.parametrize("argv,builds,hits", [
+        (["scan", "--r-max", "499", "--format", "csv", "--jobs", "1"], 7268, 36272),
+        # the designated checks build 4 masks the witness search did not and
+        # hit 8,604 more times
+        (["verify-theorem", "--r-max", "499"], 7268 + 4, 36272 + 8604),
+    ], ids=["scan", "verify-theorem"])
+    def test_the_sweep_limit_shares_its_masks(self, argv, builds, hits):
+        qint_sign_values.cache_clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        info = qint_sign_values.cache_info()
+        assert (info.misses, info.hits) == (builds, hits)
 
     @pytest.mark.parametrize("r", [3, 5])
     @pytest.mark.parametrize("p_choice", ["2r", "r"])
