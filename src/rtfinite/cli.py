@@ -7,7 +7,7 @@ failure in lattice-check, or an InvariantViolation raised by the library),
 4 = i/o error (an OSError, such as an --out path that cannot be written).
 Each command returns its exit code and its report, and main alone writes the
 report: to --out, if given, and to stdout.  scan's report decides each level
-as main asks for its records, so exit 3 (or 4) can follow part of it on stdout.
+as main asks for its pieces, so exit 3 (or 4) can follow part of it on stdout.
 """
 
 import os
@@ -49,87 +49,90 @@ def check_limit(name: str, value: int, limit: int):
         raise UsageError(f"{name} = {value} is above the limit of {limit}")
 
 
-def _record(verdict: FinitenessVerdict, parameters: dict, dimension, with_text: bool) -> dict:
-    """The JSON object of a verdict, with ratio_text only when with_text is
-    set; timing_s is 0.0, so that a report depends only on argv (time per stage
-    belongs on stderr, not in a record).  A theta coloring's witness text is
+def _witness(report) -> tuple:
+    """(k, ratio index, ratio text) of a report that has a witness: the one
+    witness-text rule of json and text.  A theta coloring's text is
     theta_norm_ratio's, with the coloring as a list; a lollipop index's is
     lollipop_ratio_cumulative's."""
-    report, witness = verdict.report, verdict.report.witness
-    if witness:
-        k, ratio_id = witness
-        text = None
-        if report.torus_c is None:  # a theta coloring
-            from .bases import theta_norm_ratio
-            if with_text:
-                text = str(theta_norm_ratio(report.level, ratio_id))
-            ratio_id = list(ratio_id)
-        elif with_text:
-            text = str(lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id))
-        witness = {"k": k, "ratio_index": ratio_id, "ratio_text": text}
+    k, ratio_id = report.witness
+    if report.torus_c is None:  # a theta coloring
+        from .bases import theta_norm_ratio
+        return k, list(ratio_id), str(theta_norm_ratio(report.level, ratio_id))
+    return k, ratio_id, str(lollipop_ratio_cumulative(report.level, report.torus_c, ratio_id))
+
+
+def _record(verdict: FinitenessVerdict, parameters: dict, dimension) -> dict:
+    """The JSON object of a verdict, built for json reports only; timing_s is
+    0.0, so that a report depends only on argv (time per stage belongs on
+    stderr, not in a record)."""
+    report = verdict.report
+    witness = report.witness and dict(zip(("k", "ratio_index", "ratio_text"), _witness(report)))
     return {"parameters": parameters, "verdict": verdict.verdict.value,
             "provenance": verdict.provenance.value, "witness": witness,
             "clause": verdict.clause, "crosscheck": verdict.crosscheck.value,
             "dimension": dimension, "timing_s": 0.0}
 
 
-def _torus_records(verdicts: list[FinitenessVerdict], with_text: bool) -> list[dict]:
-    """The records of one level's one-holed-torus verdicts."""
-    level = verdicts[0].report.level
-    return [_record(v, {"command": "decide-torus", "r": level.r, "c": v.report.torus_c,
-                        "p": level.p}, level.r - 1 - 2 * v.report.torus_c, with_text)
-            for v in verdicts]
+def _torus_parameters(verdict: FinitenessVerdict) -> tuple[dict, int]:
+    """The parameters of a one-holed-torus verdict and its dimension r - 1 - 2c."""
+    level, c = verdict.report.level, verdict.report.torus_c
+    return {"command": "decide-torus", "r": level.r, "c": c, "p": level.p}, level.r - 1 - 2 * c
 
 
-def _scan_prime(r: int, with_text: bool) -> list[dict]:
-    """The records of every c with a nonempty basis, 2c <= r - 3."""
-    return _torus_records(decide_torus_level(r), with_text)
+def _csv_row(verdict: FinitenessVerdict) -> str:
+    """A one-holed-torus csv row, read off the verdict; its ints, words and
+    None (empty) need no quoting."""
+    r, c, clause = verdict.report.level.r, verdict.report.torus_c, verdict.clause
+    k, j = verdict.report.witness or ("", "")
+    return (f"{r},{c},{r - 1 - 2 * c},{verdict.verdict.value},{k},{j},"
+            f"{'' if clause is None else clause},{verdict.crosscheck.value}\n")
 
 
-def _report(levels, fmt: str):
-    """The pieces of the report of levels, an iterable of record lists, one
-    piece per list as the iterable yields it, so that a list need not be held
-    once its piece is written."""
-    if fmt == "json":
-        import json  # here, so that csv and text calls never load it
-        # json.dumps(records, indent=2) of all levels: a level's list without
-        # its brackets is its records at the report's indent
-        sep = "[\n"
-        for records in levels:
-            yield sep + json.dumps(records, indent=2)[2:-2]
-            sep = ",\n"
-        yield "\n]\n"
-        return
-    if fmt == "csv":
-        yield "r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n"
-    line = _csv_row if fmt == "csv" else _text_line
-    for records in levels:
-        yield "".join(map(line, records))
-
-
-def _csv_row(rec: dict) -> str:
-    """A one-holed-torus csv row; its ints, words and None (empty) need no quoting."""
-    params, w, clause = rec["parameters"], rec["witness"], rec["clause"]
-    k, j = (w["k"], w["ratio_index"]) if w else ("", "")
-    return (f"{params['r']},{params['c']},{rec['dimension']},{rec['verdict']},"
-            f"{k},{j},{'' if clause is None else clause},{rec['crosscheck']}\n")
-
-
-def _text_line(rec: dict) -> str:
-    params = " ".join(f"{k}={v}" for k, v in rec["parameters"].items() if k != "command")
-    line = f"{rec['parameters']['command']} {params}: {rec['verdict']}"
-    if rec["clause"] is not None:
-        line += f" [clause {rec['clause']}, crosscheck {rec['crosscheck']}]"
-    w = rec["witness"]
-    if w:
-        line += f" witness k={w['k']} ratio={w['ratio_index']}"
-        if w["ratio_text"]:
-            line += f" ({w['ratio_text']})"
+def _text_line(verdict: FinitenessVerdict, parameters: dict) -> str:
+    params = " ".join(f"{k}={v}" for k, v in parameters.items() if k != "command")
+    line = f"{parameters['command']} {params}: {verdict.verdict.value}"
+    if verdict.clause is not None:
+        line += f" [clause {verdict.clause}, crosscheck {verdict.crosscheck.value}]"
+    if verdict.report.witness:
+        line += " witness k={} ratio={} ({})".format(*_witness(verdict.report))
     return line + "\n"
 
 
-def _render(records: list[dict], fmt: str) -> str:
-    return "".join(_report([records], fmt))
+def _piece(verdicts: list[FinitenessVerdict], fmt: str, parameters) -> str:
+    """One level's part of a report: its csv rows, its text lines, or its json
+    records at the report's indent, without the list's brackets.  parameters
+    gives a verdict's (parameters, dimension), which only json and text read."""
+    if fmt == "csv":
+        return "".join(map(_csv_row, verdicts))
+    if fmt == "text":
+        return "".join(_text_line(v, parameters(v)[0]) for v in verdicts)
+    import json  # here, so that csv and text calls never load it
+    # json.dumps(records, indent=2) of all levels: a level's list without its
+    # brackets is its records at the report's indent
+    return json.dumps([_record(v, *parameters(v)) for v in verdicts], indent=2)[2:-2]
+
+
+def _scan_prime(r: int, fmt: str) -> str:
+    """The piece of level r: every c with a nonempty basis, 2c <= r - 3."""
+    return _piece(decide_torus_level(r), fmt, _torus_parameters)
+
+
+def _report(pieces, fmt: str):
+    """The report of pieces, an iterable of level pieces (_piece), yielded as
+    the iterable yields them, so that a piece need not be held once it is
+    written; all it adds is the csv header, or the json brackets and commas."""
+    sep, end = ("[\n", "\n]\n") if fmt == "json" else ("", "")
+    if fmt == "csv":
+        yield "r,c,dimension,verdict,witness_k,witness_index,clause,crosscheck\n"
+    for piece in pieces:
+        yield sep + piece
+        sep = ",\n" if end else ""
+    if end:
+        yield end
+
+
+def _render(verdicts: list[FinitenessVerdict], fmt: str, parameters) -> str:
+    return "".join(_report([_piece(verdicts, fmt, parameters)], fmt))
 
 
 def _cmd_decide_torus(args) -> tuple:
@@ -137,17 +140,15 @@ def _cmd_decide_torus(args) -> tuple:
     if args.p_choice == "r" and args.format == "csv":
         # a csv row has no p column to tell it from a p = 2r row
         raise UsageError("--p-choice r prints json or text only, not csv")
-    records = _torus_records([decide_torus(args.r, args.c, args.p_choice)],
-                             args.format != "csv")
-    return EXIT_OK, [_render(records, args.format)]
+    verdict = decide_torus(args.r, args.c, args.p_choice)
+    return EXIT_OK, [_render([verdict], args.format, _torus_parameters)]
 
 
 def _cmd_decide_closed(args) -> tuple:
     check_limit("--p", args.p, 2 * MAX_LEVEL_R)  # p <= 2r: no primality test on a huge p
     check_limit("r", level_prime(args.p), MAX_LEVEL_R)
-    parameters = {"command": "decide-closed", "p": args.p, "g": args.g}
-    rec = _record(decide_closed(args.p, args.g), parameters, None, True)
-    return EXIT_OK, [_render([rec], args.format)]
+    return EXIT_OK, [_render([decide_closed(args.p, args.g)], args.format, lambda v: (
+        {"command": "decide-closed", "p": v.report.level.p, "g": args.g}, None))]
 
 
 def scan_workers(jobs: int, cpu_count: Optional[int], tasks: int) -> int:
@@ -168,11 +169,10 @@ def _sweep_primes(command: str, r_max: int) -> list[int]:
 def _cmd_scan(args) -> tuple:
     primes = _sweep_primes("scan", args.r_max)
     jobs = scan_workers(args.jobs, os.cpu_count(), len(primes))
-    with_text = [args.format != "csv"] * len(primes)
 
     # nothing runs until main asks for the first piece, after --out is open;
     # then each level's piece follows as soon as it is decided: pool.map and
-    # map keep the primes in order, and each level's records are in ascending c
+    # map keep the primes in order, and each level's rows are in ascending c
     def report():
         with ExitStack() as stack:
             level_map = map
@@ -182,7 +182,8 @@ def _cmd_scan(args) -> tuple:
                 from concurrent.futures import ProcessPoolExecutor
 
                 level_map = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-            yield from _report(level_map(_scan_prime, primes, with_text), args.format)
+            yield from _report(level_map(_scan_prime, primes, [args.format] * len(primes)),
+                               args.format)
 
     return EXIT_OK, report()
 

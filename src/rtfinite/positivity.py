@@ -273,8 +273,9 @@ def decide_closed(p: int, g: int) -> FinitenessVerdict:
     """Decide finiteness for the closed surface of genus g at level p.
 
     Composes the computational witnesses the way the handle-splitting
-    decomposition allows: genus 1 by the c = 0 one-holed-torus scan (all
-    its ratios are the unit symbol), r = 3 by checking every
+    decomposition allows: genus 1 by the c = 0 one-holed torus, whose ratios
+    are all 1, so the level walk never opens it and visits no embedding (the
+    report has no witness), r = 3 by checking every
     admissible-coloring norm, r = 5 by the designated genus-2 theta witness
     (embedded by zero-coloring for g >= 3), and r >= 7 through the
     non-complete-positivity of the one-holed torus at boundary color 1.

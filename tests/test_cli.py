@@ -56,6 +56,37 @@ class TestReportRecord:
             assert json.dumps([rec], indent=2) + "\n" == out
 
 
+# every csv and text report: none of them needs a json record
+NO_RECORD_ARGV = [
+    *(["scan", "--r-max", "23", "--format", f, "--jobs", "1"] for f in ("csv", "text")),
+    *(["decide-torus", "--r", "7", "--c", "1", "--format", f] for f in ("csv", "text")),
+    ["decide-closed", "--p", "5", "--g", "2", "--format", "text"],
+]
+
+
+class TestOnlyJsonBuildsARecord:
+    @pytest.mark.parametrize("argv", NO_RECORD_ARGV, ids="-".join)
+    def test_rows_are_read_off_the_verdict(self, argv, monkeypatch):
+        expected = run(argv)
+        assert expected[0] == EXIT_OK and "infinite" in expected[1]
+
+        def fail(*args):
+            raise AssertionError("a json record was built")
+
+        monkeypatch.setattr(cli, "_record", fail)
+        assert run(argv) == expected
+        with pytest.raises(AssertionError):
+            run([*argv[:argv.index("--format") + 1], "json"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_a_scan_level_is_its_finished_text(self, fmt):
+        # a pool worker returns the level's text, which _report only joins
+        pieces = [cli._scan_prime(5, fmt), cli._scan_prime(7, fmt)]
+        assert all(isinstance(piece, str) for piece in pieces)
+        assert run(["scan", "--r-max", "7", "--format", fmt, "--jobs", "1"]) == (
+            EXIT_OK, "".join(cli._report(pieces, fmt)))
+
+
 class TestDecideTorusCommand:
     def test_finite_text(self):
         code, out = run(["decide-torus", "--r", "7", "--c", "2"])
@@ -172,7 +203,7 @@ class TestScanCommand:
         # the report scan --r-max 1999 --format csv would print, were
         # MAX_SWEEP_R above 1999; it is hashed piece by piece, not held
         digest = hashlib.sha256()
-        levels = (cli._scan_prime(r, False) for r in primerange(5, 2000))
+        levels = (cli._scan_prime(r, "csv") for r in primerange(5, 2000))
         for piece in cli._report(levels, "csv"):
             digest.update(piece.encode())
         assert digest.hexdigest()[:16] == "70c4abeeac921adb"
@@ -534,6 +565,19 @@ def test_optimize_flag_prints_the_same_report(argv):
     assert outs[0] == outs[1] != b""
 
 
+def test_every_benchmark_reference_call_prints_its_recorded_stdout():
+    # perfbench/refs.json records the stdout sha256 of every call a benchmark
+    # workload can make, each of which exits 0
+    refs_path = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+    refs = json.loads(refs_path.read_text(encoding="utf-8"))
+    mismatches = []
+    for key, ref in refs.items():
+        code, out = run(key.split(" "))
+        if code != EXIT_OK or hashlib.sha256(out.encode()).hexdigest() != ref["sha256"]:
+            mismatches.append(key)
+    assert refs and mismatches == []
+
+
 class TestIOError:
     def test_unwritable_out_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.txt"
@@ -693,9 +737,10 @@ class TestScanStreaming:
         code, out = run(["scan", "--r-max", "37", "--format", fmt, "--jobs", jobs])
         assert code == EXIT_OK
         primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        records = [rec for r in primes for rec in cli._scan_prime(r, fmt != "csv")]
-        assert out == cli._render(records, fmt)
+        verdicts = [v for r in primes for v in positivity.decide_torus_level(r)]
+        assert out == cli._render(verdicts, fmt, cli._torus_parameters)
         if fmt == "json":
+            records = [cli._record(v, *cli._torus_parameters(v)) for v in verdicts]
             assert out == json.dumps(records, indent=2) + "\n"
 
     def test_unwritable_out_path_exits_before_any_level(self, tmp_path, monkeypatch, capsys):
@@ -713,10 +758,10 @@ class TestScanStreaming:
     def test_levels_before_an_invariant_violation_are_written(self, monkeypatch):
         scan_prime = cli._scan_prime
 
-        def fail_at_11(r, with_text):
+        def fail_at_11(r, fmt):
             if r == 11:
                 raise InvariantViolation("level 11")
-            return scan_prime(r, with_text)
+            return scan_prime(r, fmt)
 
         monkeypatch.setattr(cli, "_scan_prime", fail_at_11)
         code, out = run(["scan", "--r-max", "13", "--format", "csv", "--jobs", "1"])
