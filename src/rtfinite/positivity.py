@@ -144,7 +144,9 @@ def negative_ratios(level: LevelContext, k: int, c: int) -> int:
     so that B(m) ^ B(m-1) = d(m), bit 1 of X after the bit-0 inversion is
     d(2c+2) ^ d(1) ^ d(c+2) ^ d(c+1), the sign of the step ratio
     [2c+2][1]/([c+2][c+1]); [1] = 1, so it is the sign of the product
-    [2c+2][c+2][c+1] (qint_product_negative).
+    [2c+2][c+2][c+1], three floor parities (qint_product_negative).  That
+    read is clause 1's runtime check, and it is provably 0 at every canonical
+    k of both levels (README "Sign engine").
     """
     p, r = level.p, level.r
     if 2 * c == r - 3:

@@ -63,11 +63,9 @@ class QuantumFactored(NamedTuple):
         """Float value at the embedding (oracle support, not used in verdicts)."""
         import math
 
-        value = 1.0
         s1 = math.sin(2 * math.pi * emb.k / emb.p)
-        for n, e in self.factors:
-            value *= (math.sin(2 * math.pi * n * emb.k / emb.p) / s1) ** e
-        return value
+        return math.prod(((math.sin(2 * math.pi * n * emb.k / emb.p) / s1) ** e
+                          for n, e in self.factors), start=1.0)
 
 
 def qint(n: int) -> QuantumFactored:
@@ -108,28 +106,26 @@ _TILE_LAPS = 64
 def _residue_tile(p: int) -> bytes:
     """Byte i is the digit 1 when sin(2 pi i / p) < 0, and the digit 0
     otherwise, 0 <= i < _TILE_LAPS * p: sin_sign's rule, negative exactly when
-    p/2 < i mod p < p.  The first p bytes are the level's residue table, and
-    byte i is the digit of i mod p.
+    p/2 < i mod p < p.  Byte i is the digit of i mod p: the rule below as a
+    table, for the strided slices of qint_sign_values, its one reader.
 
     [m] at k is [m] at the folded step s = min(k mod p, -k mod p), since both
     sines of sin(2 pi m k / p) / sin(2 pi k / p) change sign under k -> -k, and
-    sin(2 pi s / p) > 0; so [m] < 0 at k exactly when digit m*s mod p is 1.
+    sin(2 pi s / p) > 0; so [m] < 0 at k exactly when floor(2ms/p) is odd.
     """
     return (b"0" * (p // 2 + 1) + b"1" * (p - 1 - p // 2)) * _TILE_LAPS
 
 
 def qint_product_negative(p: int, k: int, ms) -> int:
     """1 when the product of the [m], m in ms, is negative at k, and 0 when it
-    is positive: the parity of #{m in ms : [m] < 0}, one lookup per m in the
-    residue table of _residue_tile.  No [m] may vanish at k: m*k must not
-    be 0 or p/2 (mod p).
+    is positive: the parity of the sum of floor(2ms/p) over m in ms, s the
+    folded step, which is _residue_tile's rule read in integers, with no
+    table.  No [m] may vanish at k: m*k must not be 0 or p/2 (mod p).
     """
-    step = min(k % p, -k % p)
-    negative = _residue_tile(p)
+    step = 2 * min(k % p, -k % p)
     parity = 0
     for m in ms:
-        # the digits are the bytes of "0" and "1", whose low bits are 0 and 1
-        parity ^= negative[m * step % p]
+        parity ^= m * step // p
     return parity & 1
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import re
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,25 @@ def _oldest_python() -> tuple[int, int]:
 def test_every_module_parses_as_the_oldest_supported_python():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_oldest_python())
+
+
+def _compile_strictly(source: str, filename: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(source, filename, "exec")
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    # without .pyc files every cold call compiles the package from source, so
+    # a compile-time warning (an invalid escape in a docstring, say) would
+    # print on the stderr of every call
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        _compile_strictly(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_the_compile_check_rejects_an_invalid_escape():
+    with pytest.raises(SyntaxError, match="invalid escape sequence"):
+        _compile_strictly('"""[m] < 0 when \\d is odd"""\n', "escape.py")
 
 
 @pytest.mark.parametrize("source", [

@@ -394,6 +394,57 @@ class TestLevelDoubling:
                 assert negative_ratios(LevelContext.at(p), k_unitary, c) == 0, (p, c)
 
 
+class TestClassification:
+    """The one-holed torus has no witness exactly when c = 0 or 2c = r - 3, at
+    both levels (README "Sign engine"): [m] < 0 at the folded step s exactly
+    when floor(2ms/p) is odd."""
+
+    def test_k1_lemma_at_p_equals_r(self):
+        # for 1 <= c <= (r - 5)/2 the stated j is negative at k = 1
+        colors = 0
+        for r in primerange(3, 2000):
+            level = LevelContext.at(r)
+            for c in range(1, (r - 5) // 2 + 1):
+                j = 1 if 4 * c + 4 > r else (r - 1) // 2 - 2 * c
+                assert negative_ratios(level, 1, c) >> j & 1, (r, c, j)
+                colors += 1
+        assert colors == 137770
+
+    def test_no_witness_exactly_at_c0_and_the_one_ratio(self):
+        witnesses_at_r = 0
+        for r in primerange(3, 600):
+            for p_choice in ("2r", "r"):
+                for c, verdict in enumerate(decide_torus_level(r, p_choice)):
+                    witness = verdict.report.witness
+                    assert (witness is None) == (c == 0 or 2 * c == r - 3), (r, p_choice, c)
+                    if p_choice == "r" and witness is not None:
+                        assert witness[0] == 1, (r, c, witness)
+                        witnesses_at_r += 1
+        assert witnesses_at_r == 14378
+
+    def test_level_doubling_bit_for_bit(self):
+        # X at (r, k) equals X at (2r, |r - 2k|), for every c and canonical k
+        triples = 0
+        for r in primerange(3, 200):
+            odd, even = LevelContext.at(r), LevelContext.at(2 * r)
+            for c in range((r - 1) // 2):
+                for k in embedding_ks(r):
+                    assert negative_ratios(odd, k, c) == negative_ratios(even, abs(r - 2 * k), c), (
+                        r, c, k)
+                    triples += 1
+        assert triples == 139164
+
+    def test_the_one_ratio_is_positive_at_every_embedding(self):
+        # clause 1: the read is 0 at every canonical k of both levels
+        reads = 0
+        for r in primerange(3, 2000):
+            for level in (LevelContext.at(2 * r), LevelContext.at(r)):
+                for k in embedding_ks(level.p):
+                    assert negative_ratios(level, k, (r - 3) // 2) == 0, (level.p, k)
+                    reads += 1
+        assert reads == 415119
+
+
 class TestDecideClosed:
     def test_genus1_finite(self):
         verdict = decide_closed(10, 1)
@@ -520,11 +571,14 @@ class TestMasklessShapes:
 
     @pytest.mark.parametrize("r", [5, 7, 11, 97, 1999])
     def test_one_residue_table_per_level(self, r):
-        # the tile cache holds one level, so a second level would be a second miss
+        # at most one table per level, and the one ratio of 2c = r - 3 needs
+        # none: it reads three floor parities, so it builds no table and no mask
         for p_choice in ("2r", "r"):
             _residue_tile.cache_clear()
+            qint_sign_values.cache_clear()
             decide_torus(r, (r - 3) // 2, p_choice)
-            assert _residue_tile.cache_info().misses == 1, p_choice
+            assert _residue_tile.cache_info().misses == 0, p_choice
+            assert qint_sign_values.cache_info().misses == 0, p_choice
 
     @pytest.mark.parametrize("r", list(primerange(5, 300)))
     def test_one_ratio_matches_the_float_sines(self, r):

@@ -13,7 +13,7 @@ from sympy import primerange
 import rtfinite
 from rtfinite.bases import admissible_triples, theta_norm_ratio
 from rtfinite.context import LevelContext
-from rtfinite.cyclotomic import EmbeddingIndex, Sign, embeddings, sin_sign
+from rtfinite.cyclotomic import EmbeddingIndex, Sign, embedding_ks, embeddings, sin_sign
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.quantum import (
     _TILE_LAPS,
@@ -23,6 +23,7 @@ from rtfinite.quantum import (
     qfactorial,
     qfactorial_ratio,
     qint,
+    qint_product_negative,
     qint_sign_values,
 )
 
@@ -161,6 +162,20 @@ def test_residue_table_marks_the_negative_sines(p):
     assert len(tile) == _TILE_LAPS * p
     assert [d == ord("1") for d in tile] == [
         sin_sign(x, p) is Sign.NEGATIVE for x in range(_TILE_LAPS * p)]
+
+
+def test_product_read_is_the_sine_sign_of_each_factor():
+    # floor(2ms/p) is odd exactly when p/2 < ms mod p < p, sin_sign's rule
+    cases = 0
+    for r in primerange(3, 100):
+        for p in (r, 2 * r):
+            for k in embedding_ks(p):
+                step = min(k % p, -k % p)
+                for m in range(1, r):
+                    negative = sin_sign(m * step, p) is Sign.NEGATIVE
+                    assert qint_product_negative(p, k, (m,)) == negative, (p, k, m)
+                    cases += 1
+    assert cases == 95550
 
 
 @pytest.mark.parametrize("r", list(primerange(3, 200)))
