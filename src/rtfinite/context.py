@@ -68,27 +68,21 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def totient(n: int) -> int:
-    """Euler's phi(n) for n >= 1."""
+def ramanujan_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """(e, e * mu(n/e)) for the divisors e of n >= 1 with mu(n/e) != 0, e ascending.
+
+    From (n, n), each prime q of n adds (e/q, -w/q) for each pair (e, w) so far.
+    Tr(A^m) in Q(zeta_n) sums the w whose e divides m, so phi(n) = Tr(1) sums all w.
+    """
+    pairs = [(n, n)]
     for q, _ in _factorize(n):
-        n -= n // q
-    return n
+        pairs += [(e // q, -w // q) for e, w in pairs]
+    return tuple(sorted(pairs))
 
 
-def mobius(n: int) -> int:
-    """The Moebius function mu(n) for n >= 1."""
-    factors = _factorize(n)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for q, e in _factorize(n):
-        divs = [d * q**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+def totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1, the sum of the weights of ramanujan_weights(n)."""
+    return sum(w for _, w in ramanujan_weights(n))
 
 
 def level_prime(p: int) -> int:

@@ -4,7 +4,7 @@ A value is a canonically reduced integer coefficient vector of length
 phi(N); equality of values is equality of vectors.  Coefficients are
 Python integers, so no overflow handling is needed.  A vector of at most
 phi(N) coefficients is its own remainder; only longer ones are divided by
-phi_N.  The field trace reads a cached per-order table of Ramanujan sums.
+phi_N.  The field trace and phi_N read the Ramanujan weights of N.
 The ring keeps only what the lattice oracle, the acceptance spec and the
 traced benchmark read: reduce, *, conjugate, trace, is_zero and evaluate.
 The module also provides the Galois embedding bookkeeping (EmbeddingIndex),
@@ -19,9 +19,8 @@ import enum
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import mul
 
-from .context import divisors, mobius, totient
+from .context import ramanujan_weights, totient
 from .errors import InvariantViolation, UsageError
 
 
@@ -65,28 +64,21 @@ def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    Computed by dividing X^n - 1 by phi_d for every proper divisor d of n.
+    phi_n is the product of (X^e - 1)^sign(w) over ramanujan_weights(n): the
+    binomials of positive w are multiplied, then the negative ones divided out.
     The lru_cache fill is idempotent, so concurrent initialization is safe.
     """
     if n < 1:
         raise UsageError("cyclotomic polynomial order must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d == n:
-            continue
-        poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-        if rem != [0]:
-            raise InvariantViolation(f"phi_{d} does not divide X^{n} - 1 cleanly")
+    poly = [1]
+    for e, w in sorted(ramanujan_weights(n), key=lambda pair: pair[1] < 0):
+        if w > 0:
+            poly = [a - b for a, b in zip([0] * e + poly, poly + [0] * e)]
+        else:
+            poly, rem = _poly_divmod(poly, (-1,) + (0,) * (e - 1) + (1,))
+            if rem != [0]:
+                raise InvariantViolation(f"X^{e} - 1 does not divide phi_{n} cleanly")
     return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def trace_table(order: int) -> tuple[int, ...]:
-    """Tr(A^m) for m = 0 .. order-1: the Ramanujan sum mu(N/g) * phi(N)/phi(N/g)
-    with N = order and g = gcd(m, N)."""
-    phi = totient(order)
-    by_cofactor = {d: mobius(d) * (phi // totient(d)) for d in divisors(order)}
-    return tuple(by_cofactor[order // gcd(m, order)] for m in range(order))
 
 
 class CyclotomicInteger(namedtuple("CyclotomicInteger", "order coeffs")):
@@ -126,10 +118,9 @@ class CyclotomicInteger(namedtuple("CyclotomicInteger", "order coeffs")):
     def trace(self) -> int:
         """Field trace down to the rationals: sum of all Galois conjugates.
 
-        Applies the cached table trace(A^m) (trace_table) termwise to the
-        canonical representative.
+        Tr(A^m) sums the w of ramanujan_weights(N) with e | m: sum w * sum(coeffs[::e]).
         """
-        return sum(map(mul, self.coeffs, trace_table(self.order)))
+        return sum(w * sum(self.coeffs[::e]) for e, w in ramanujan_weights(self.order))
 
     def evaluate(self, z: complex) -> complex:
         """Numeric value at a chosen root A = z (float oracle support)."""

@@ -10,12 +10,11 @@ coefficients, is its term for e >= phi(alpha_p), read from the same sums.
 """
 
 import random
-from functools import lru_cache
 from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
-from .context import LevelContext, divisors, mobius
+from .context import LevelContext, ramanujan_weights
 from .cyclotomic import CyclotomicInteger, reduce
 from .errors import InvariantViolation, UsageError
 
@@ -35,12 +34,6 @@ _DRAW_WORDS = 4096  # 32-bit outputs per getrandbits call
 def lattice_element(level: LevelContext, raw_coeffs) -> CyclotomicInteger:
     """The canonical residue of an integer coefficient vector in O_p."""
     return reduce(raw_coeffs, level.alpha_p)
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_weights(order: int) -> tuple[tuple[int, int], ...]:
-    """(e, e * mu(order / e)) for the divisors e of order with a nonzero weight."""
-    return tuple((e, e * mobius(order // e)) for e in divisors(order) if mobius(order // e))
 
 
 def psi_norm_sq(element: CyclotomicInteger, level: LevelContext) -> "Fraction":
@@ -72,7 +65,7 @@ def _norm_numerator(values, squares: int, order: int, shift: int = 0) -> int:
     """
     n = len(values)
     numerator = 0
-    for e, weight in _ramanujan_weights(order):
+    for e, weight in ramanujan_weights(order):
         if e >= n:
             numerator += weight * squares
         else:

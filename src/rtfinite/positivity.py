@@ -185,10 +185,10 @@ def _torus_verdicts(level: LevelContext, cs) -> list[FinitenessVerdict]:
 
 def _torus_signs(level: LevelContext, c: int):
     """Yield ((k, j), sign of <u_j>/<u_0>) for the lollipop basis at color c,
-    in ascending k, then ascending j >= 1, read off negative_ratios at each k."""
+    in ascending k, then j >= 1, read off negative_ratios at min(k, 2r - k)."""
     js = range(1, level.r - 1 - 2 * c)
     for k in embedding_ks(level.p):
-        x = negative_ratios(level, k, c)
+        x = negative_ratios(level, min(k, 2 * level.r - k), c)
         for j in js:
             yield (k, j), _PARITY_SIGN[x >> j & 1]
 

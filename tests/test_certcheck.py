@@ -1,8 +1,10 @@
 """The stand-alone certificate checker of tests/oracle/certcheck.py: it shares
-no code with the package, passes the scan report in csv and in json and the
-decide-torus records at p = r, and rejects a report with one row changed."""
+no code with the package, passes the scan report in csv and in json, the
+decide-torus records at p = r and the decide-closed records, and rejects a
+report with one row changed."""
 
 import ast
+import copy
 import importlib.util
 import io
 import json
@@ -36,6 +38,24 @@ JSON_MUTANTS = {
     "finite-flipped-to-infinite": ("finite", lambda record: record.update(verdict="infinite")),
 }
 
+# one field of a decide-closed record changed, on every record that has it:
+# (whether the record has the field, the change).  ratio_index + 1 applies
+# where the index is a lollipop j (r >= 7), as at r = 5 it names a theta triple
+CLOSED_MUTANTS = {
+    "verdict-flipped": (
+        lambda record: True,
+        lambda record: record.update(
+            verdict="finite" if record["verdict"] == "infinite" else "infinite")),
+    "witness-k-plus-2": (
+        lambda record: record["witness"] is not None,
+        lambda record: record["witness"].update(k=record["witness"]["k"] + 2)),
+    "witness-index-plus-1": (
+        lambda record: isinstance((record["witness"] or {}).get("ratio_index"), int),
+        lambda record: record["witness"].update(ratio_index=record["witness"]["ratio_index"] + 1)),
+}
+
+CLOSED_GRID = [(p, g) for p in (3, 5, 6, 7, 10, 14, 22, 26, 998) for g in (1, 2, 3)]
+
 
 def _run(argv: list[str]) -> str:
     out = io.StringIO()
@@ -60,6 +80,13 @@ def torus_at_p_equals_r() -> dict:
     return {r: [_run(["decide-torus", "--r", str(r), "--c", str(c), "--p-choice", "r",
                       "--format", "json"]) for c in range((r - 1) // 2)]
             for r in (7, 97, 199)}
+
+
+@pytest.fixture(scope="module")
+def closed_records() -> list[dict]:
+    return [record for p, g in CLOSED_GRID
+            for record in json.loads(_run(["decide-closed", "--p", str(p), "--g", str(g),
+                                           "--format", "json"]))]
 
 
 def test_the_checker_passes_the_scan_report(scan_199, tmp_path, capsys):
@@ -119,3 +146,39 @@ def test_the_checker_imports_only_the_standard_library():
               if isinstance(node, ast.ImportFrom)]
     modules = {name.split(".")[0] for name in names}
     assert "rtfinite" not in modules and modules <= sys.stdlib_module_names
+
+
+def test_the_checker_passes_the_scan_report_at_the_sweep_limit(tmp_path, capsys):
+    target = tmp_path / "scan.csv"
+    target.write_text(_run(["scan", "--r-max", "499", "--format", "csv", "--jobs", "1"]),
+                      encoding="utf-8")
+    assert certcheck.main([str(target)]) == 0
+    assert capsys.readouterr() == ("", "10719 rows, 0 problems\n")
+
+
+def test_the_checker_passes_decide_closed(closed_records):
+    assert [(record["parameters"]["p"], record["parameters"]["g"])
+            for record in closed_records] == CLOSED_GRID
+    assert {record["verdict"] for record in closed_records} == {"finite", "infinite"}
+    assert certcheck.check_records(closed_records) == []
+    # each shape is checked: no witness, the designated r = 5 one, a c = 1 walk
+    shapes = {type(record["witness"] and record["witness"]["ratio_index"]).__name__
+              for record in closed_records}
+    assert shapes == {"NoneType", "list", "int"}
+
+
+@pytest.mark.parametrize("mutant", CLOSED_MUTANTS)
+def test_the_checker_rejects_a_changed_closed_record(closed_records, mutant):
+    applies, change = CLOSED_MUTANTS[mutant]
+    changed = 0
+    for i, record in enumerate(closed_records):
+        if not applies(record):
+            continue
+        records = copy.deepcopy(closed_records)
+        change(records[i])
+        problems = certcheck.check_records(records)
+        where = "p={p} g={g}: ".format(**record["parameters"])
+        assert problems and all(p.startswith(where) for p in problems), (mutant, where)
+        changed += 1
+    # each applies at least to the ten records with r >= 7 and g >= 2
+    assert changed >= 10

@@ -6,17 +6,22 @@ from hypothesis import strategies as st
 from rtfinite import context
 from rtfinite.context import (
     LevelContext,
-    divisors,
     isprime,
     level_prime,
-    mobius,
     primerange,
+    ramanujan_weights,
     totient,
 )
 from rtfinite.errors import UsageError
 
 # sympy is the test-only oracle for the stdlib number theory.
 N = st.integers(1, 10**4)
+
+
+def sympy_weights(n):
+    """(e, e * mu(n/e)) for the divisors e of n with mu(n/e) != 0, from sympy."""
+    return tuple((e, e * int(sympy.mobius(n // e))) for e in sympy.divisors(n)
+                 if sympy.mobius(n // e))
 
 
 class TestAgainstSympy:
@@ -28,12 +33,15 @@ class TestAgainstSympy:
     @given(N)
     @settings(max_examples=400, deadline=None)
     def test_mobius(self, n):
-        assert mobius(n) == int(sympy.mobius(n))
+        # every weight of the table is e * mu(n/e), and no nonzero one is missing
+        assert ramanujan_weights(n) == sympy_weights(n)
 
     @given(N)
     @settings(max_examples=400, deadline=None)
     def test_divisors(self, n):
-        assert divisors(n) == sympy.divisors(n)
+        # the table lists exactly the divisors e of n with n/e squarefree
+        assert [e for e, _ in ramanujan_weights(n)] == [
+            e for e in sympy.divisors(n) if sympy.mobius(n // e)]
 
     @given(st.integers(0, 10**4), st.integers(0, 10**4))
     @settings(max_examples=200, deadline=None)
@@ -46,8 +54,7 @@ class TestAgainstSympy:
     def test_large_prime_cofactor(self, n):
         # trial division stops at the prime cofactor
         assert totient(n) == int(sympy.totient(n))
-        assert mobius(n) == int(sympy.mobius(n))
-        assert divisors(n) == sympy.divisors(n)
+        assert ramanujan_weights(n) == sympy_weights(n)
 
     def test_isprime_exhaustive_below_bound(self):
         assert [n for n in range(-5, 10**4 + 1) if isprime(n)] == list(
@@ -105,8 +112,8 @@ class TestLevelContext:
         assert not hasattr(context, "_level_context")
 
     def test_a_new_level_tests_r_once(self, monkeypatch):
-        # level_prime tests r = 151 once; reading phi(alpha_p) = totient(4r)
-        # then tests 604 and its cofactor 151
+        # level_prime tests r = 151 once; reading phi(alpha_p), the sum of
+        # ramanujan_weights(4r), then tests 604 and its cofactor 151
         calls = []
 
         def record(n):
@@ -116,7 +123,7 @@ class TestLevelContext:
         monkeypatch.setattr(context, "isprime", record)
         level = LevelContext.at(302)
         assert calls == [151]
-        totient.cache_clear()
+        ramanujan_weights.cache_clear()
         assert level.phi_alpha == 300
         assert calls == [151, 604, 151]
 

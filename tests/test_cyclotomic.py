@@ -23,7 +23,6 @@ from rtfinite.cyclotomic import (
     embeddings,
     reduce,
     sin_sign,
-    trace_table,
 )
 from rtfinite.errors import InvariantViolation, UsageError
 
@@ -169,16 +168,20 @@ class TestTrace:
 class TestTraceTable:
     @pytest.mark.parametrize("order", [3, 4, 7, 10, 12, 20, 28, 36, 43, 52, 172])
     def test_ramanujan_sum(self, order):
-        # Tr(A^m) = mu(N/g) * phi(N)/phi(N/g), g = gcd(m, N), from the sympy oracle
+        # trace() of a canonical monomial A^j, j < phi(N), is the Ramanujan sum
+        # mu(N/g) * phi(N)/phi(N/g), g = gcd(j, N), from the sympy oracle
         phi = int(sympy.totient(order))
-        expected = []
-        for m in range(order):
-            d = order // gcd(m, order)
-            expected.append(int(sympy.mobius(d)) * phi // int(sympy.totient(d)))
-        assert list(trace_table(order)) == expected
-        # trace() of a canonical monomial A^j, j < phi(N), is the table entry
         for j in range(phi):
-            assert reduce([0] * j + [1], order).trace() == expected[j]
+            d = order // gcd(j, order)
+            expected = int(sympy.mobius(d)) * phi // int(sympy.totient(d))
+            assert reduce([0] * j + [1], order).trace() == expected, j
+
+
+def test_cyclotomic_polynomial_is_sympys():
+    x = sympy.Symbol("x")
+    for n in range(1, 200):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(map(int, expected)), n
 
 
 class TestInvariants:
@@ -187,9 +190,11 @@ class TestInvariants:
             _poly_divmod([1, 0, 1], (1, 2))
 
     def test_cyclotomic_remainder(self, monkeypatch):
-        # 4 does not divide 6, so phi_4 leaves a remainder in X^6 - 1
+        # a wrong table at n = 6: X^4 - 1 does not divide (X - 1)(X^6 - 1)
+        weights = cyclotomic.ramanujan_weights
         monkeypatch.setattr(
-            cyclotomic, "divisors", lambda n: [1, 4, 6] if n == 6 else sympy.divisors(n)
+            cyclotomic, "ramanujan_weights",
+            lambda n: ((1, 1), (4, -4), (6, 6)) if n == 6 else weights(n),
         )
         cyclotomic_polynomial.cache_clear()
         try:

@@ -4,9 +4,11 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import islice, repeat
+from math import gcd
 from operator import mul
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,6 @@ from rtfinite.cyclotomic import (
     _poly_divmod,
     cyclotomic_polynomial,
     reduce,
-    trace_table,
 )
 from rtfinite.errors import InvariantViolation, UsageError
 from rtfinite.lattice import (
@@ -34,9 +35,13 @@ def trace_table_norm(element: CyclotomicInteger, level: LevelContext) -> Fractio
     """The O(phi^2) oracle: Tr(P conj P) as the quadratic form
     sum c_i c_j Tr(A^(i-j)) over the trace table.  Since Tr(A^-d) = Tr(A^d),
     the terms are grouped by d = |i - j|: the autocorrelation
-    sum_i c_i c_(i+d) meets Tr(A^d) once for d = 0 and twice for d > 0."""
-    coeffs = element.coeffs
-    table = trace_table(element.order)
+    sum_i c_i c_(i+d) meets Tr(A^d) once for d = 0 and twice for d > 0.
+    The table Tr(A^d) = mu(N/g) * phi(N)/phi(N/g), g = gcd(d, N), is built
+    from sympy, independently of the package."""
+    coeffs, order = element.coeffs, element.order
+    phi = int(sympy.totient(order))
+    cofactors = [order // gcd(d, order) for d in range(len(coeffs))]
+    table = [int(sympy.mobius(q)) * phi // int(sympy.totient(q)) for q in cofactors]
     shifted = sum(
         t * sum(map(mul, coeffs, coeffs[d:]))
         for d, t in enumerate(table[1:len(coeffs)], 1)

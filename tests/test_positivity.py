@@ -618,6 +618,21 @@ class TestMirroredEmbeddings:
         assert decide_torus(r, c, "r").verdict is Finiteness.FINITE
         assert visited == [(r, k) for k in embedding_ks(r)]
 
+    @pytest.mark.parametrize("p_choice", ["2r", "r"])
+    def test_the_sign_matrix_builds_one_mask_per_folded_step(self, p_choice):
+        # c = 0 opens no color, so the sign matrix builds every mask it reads:
+        # (r - 1) / 2 of them at both levels, as k and 2r - k share one at p = 2r
+        r = 97
+        qint_sign_values.cache_clear()
+        report = decide_torus(r, 0, p_choice).report
+        matrix = report.sign_matrix
+        assert qint_sign_values.cache_info().misses == (r - 1) // 2
+        level = report.level
+        unfolded = {(k, j): Sign.NEGATIVE if negative_ratios(level, k, 0) >> j & 1
+                    else Sign.POSITIVE
+                    for k in embedding_ks(level.p) for j in range(1, r - 1)}
+        assert matrix == unfolded
+
     @pytest.mark.parametrize("r", list(primerange(3, 400)))
     def test_witnesses_equal_the_full_walk(self, r):
         for level in (LevelContext.at(2 * r), LevelContext.at(r)):
