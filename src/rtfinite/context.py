@@ -45,26 +45,26 @@ def primerange(a: int, b: int):
     return (n for n in range(max(a, 2), b) if isprime(n))
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division, primes ascending.
+def _factorize(n: int) -> list[int]:
+    """The distinct primes of n >= 1 by trial division, ascending.
 
     Trial division stops as soon as the cofactor is prime, so n = 4r with a
-    large prime r (an alpha_p) costs two divisions and one primality test.
+    large prime r (an alpha_p) costs two divisions and two primality tests,
+    of 4r and then of r.
     """
-    factors = []
+    primes = []
     q = 2
     prime_cofactor = isprime(n)
     while q * q <= n and not prime_cofactor:
         if n % q == 0:
-            e = 0
             while n % q == 0:
-                n, e = n // q, e + 1
-            factors.append((q, e))
+                n //= q
+            primes.append(q)
             prime_cofactor = isprime(n)
         q += 1 if q == 2 else 2
     if n > 1:
-        factors.append((n, 1))
-    return factors
+        primes.append(n)
+    return primes
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +75,7 @@ def ramanujan_weights(n: int) -> tuple[tuple[int, int], ...]:
     Tr(A^m) in Q(zeta_n) sums the w whose e divides m, so phi(n) = Tr(1) sums all w.
     """
     pairs = [(n, n)]
-    for q, _ in _factorize(n):
+    for q in _factorize(n):
         pairs += [(e // q, -w // q) for e, w in pairs]
     return tuple(sorted(pairs))
 

@@ -597,80 +597,51 @@ class TestIOError:
         assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
-def _imported_by_cli(module: str) -> bool:
-    """Whether a fresh interpreter has imported module after importing rtfinite.cli."""
+# The stdlib modules a cold call may load, with every module they import:
+# exactly what a cold import of rtfinite.cli needs. json (json reports),
+# concurrent.futures (scan --jobs above 1) and fractions (lattice norms) are
+# imported inside the functions that use them.
+COLD_START_STDLIB = ("os", "contextlib", "math", "types", "typing", "functools",
+                     "collections", "enum", "itertools", "operator", "random")
+
+# argv after python -S -X importtime, and the stdout sha256 prefix of each call
+COLD_CALLS = {
+    "import": (["-c", "import rtfinite.cli"], None),
+    "scan-csv": (["-m", "rtfinite.cli", "scan", "--r-max", "199", "--format", "csv",
+                  "--jobs", "1"], "653913b3c14781b5"),
+    "lattice-check": (["-m", "rtfinite.cli", "lattice-check", "--p", "7", "--samples",
+                       "2000", "--seed", "4"], "0690e20942fb26b9"),
+}
+
+
+def _python_s(*args):
+    """Run the interpreter under -S, so that no site hook (a .pth file) loads a
+    module before the call does."""
     src = str(Path(rtfinite.__file__).resolve().parents[1])
-    code = f"import sys, rtfinite.cli; print({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    return {"True\n": True, "False\n": False}[out.stdout]
+    return subprocess.run([sys.executable, "-S", *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=60, check=True)
 
 
-def test_cli_import_leaves_sympy_out():
-    assert not _imported_by_cli("sympy")
+@pytest.fixture(scope="module")
+def cold_start_allowlist():
+    # what a bare interpreter holds once it has imported runpy, which -m runs,
+    # and COLD_START_STDLIB
+    code = f"import sys, runpy, {', '.join(COLD_START_STDLIB)}; print(*sys.modules)"
+    return set(_python_s("-c", code).stdout.decode().split())
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    assert not _imported_by_cli("concurrent.futures.process")
-
-
-# json is imported by the json writer alone, so csv and text calls skip it
-def test_cli_import_leaves_json_out():
-    assert not _imported_by_cli("json")
-
-
-# fractions (which imports decimal) is imported by the lattice norms alone
-@pytest.mark.parametrize("module", ["fractions", "decimal"])
-def test_cli_import_leaves_the_rational_numbers_out(module):
-    assert not _imported_by_cli(module)
-
-
-# the option table needs neither argparse nor its gettext and locale lookups,
-# and the csv rows are joined by hand
-@pytest.mark.parametrize("module", ["argparse", "gettext", "locale", "csv"])
-def test_cli_import_leaves_argparse_and_csv_out(module):
-    assert not _imported_by_cli(module)
-
-
-def test_cold_lattice_check_imports_no_parser_or_rational_numbers():
-    # the __main__ block, with main() reading sys.argv
-    src = str(Path(rtfinite.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "rtfinite.cli", "lattice-check",
-         "--p", "7", "--samples", "2000", "--seed", "4"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
-    )
-    assert done.returncode == EXIT_OK
-    assert hashlib.sha256(done.stdout).hexdigest()[:16] == "0690e20942fb26b9"
-    imported = {line.rsplit(b"|", 1)[-1].strip().decode()
-                for line in done.stderr.splitlines() if line.startswith(b"import time:")}
-    assert "rtfinite.lattice" in imported
-    assert not imported & {"argparse", "fractions", "decimal", "_decimal", "csv", "_csv"}
-
-
-def test_cold_csv_scan_imports_no_csv_module():
-    # the csv format joins its rows by hand; the report is the anchored one
-    src = str(Path(rtfinite.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "rtfinite.cli", "scan",
-         "--r-max", "199", "--format", "csv", "--jobs", "1"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
-    )
-    assert done.returncode == EXIT_OK
-    assert hashlib.sha256(done.stdout).hexdigest()[:16] == "653913b3c14781b5"
-    imported = {line.rsplit(b"|", 1)[-1].strip().decode()
-                for line in done.stderr.splitlines() if line.startswith(b"import time:")}
-    assert "rtfinite.positivity" in imported
-    assert not imported & {"csv", "_csv"}
-
-
-# dataclasses imports inspect, dis, ast and tokenize: the records are named
-# tuples so that no call pays for them at start-up
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
-def test_cli_import_leaves_the_dataclass_machinery_out(module):
-    assert not _imported_by_cli(module)
+@pytest.mark.parametrize("argv,sha", COLD_CALLS.values(), ids=COLD_CALLS)
+def test_cold_start_loads_only_the_allowlist(argv, sha, cold_start_allowlist):
+    done = _python_s("-X", "importtime", *argv)
+    if sha is None:
+        assert done.stdout == b""
+    else:
+        assert hashlib.sha256(done.stdout).hexdigest()[:16] == sha
+    imported = set(re.findall(r"^import time: +\d+ \| +\d+ \| +(\S+)$",
+                              done.stderr.decode(), re.M))
+    assert "rtfinite.positivity" in imported  # the import lines were read
+    outside = {name for name in imported if name.partition(".")[0] != "rtfinite"}
+    assert outside - cold_start_allowlist == set()
 
 
 class TestSizeLimits:

@@ -422,6 +422,21 @@ class TestClassification:
                         witnesses_at_r += 1
         assert witnesses_at_r == 14378
 
+    def test_p_2r_witness_is_at_k_star(self):
+        # ROADMAP item 17, checked here and not proved: with d = r - 2 - 2c, the
+        # p = 2r witness is at the least odd k above 2r/3 when d = 3, and above
+        # r/(d - 1), but at least 3, when d >= 5
+        colors = 0
+        for r in primerange(5, 600):
+            for c, verdict in enumerate(decide_torus_level(r)):
+                d = r - 2 - 2 * c
+                if c == 0 or d < 3:
+                    continue
+                k_star = (2 * r // 3 + 1) | 1 if d == 3 else max(3, (r // (d - 1) + 1) | 1)
+                assert verdict.report.witness[0] == k_star, (r, c, verdict.report.witness)
+                colors += 1
+        assert colors == 14378
+
     def test_level_doubling_bit_for_bit(self):
         # X at (r, k) equals X at (2r, |r - 2k|), for every c and canonical k
         triples = 0
