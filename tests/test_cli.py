@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -630,18 +631,67 @@ def cold_start_allowlist():
     return set(_python_s("-c", code).stdout.decode().split())
 
 
-@pytest.mark.parametrize("argv,sha", COLD_CALLS.values(), ids=COLD_CALLS)
-def test_cold_start_loads_only_the_allowlist(argv, sha, cold_start_allowlist):
-    done = _python_s("-X", "importtime", *argv)
-    if sha is None:
-        assert done.stdout == b""
-    else:
-        assert hashlib.sha256(done.stdout).hexdigest()[:16] == sha
-    imported = set(re.findall(r"^import time: +\d+ \| +\d+ \| +(\S+)$",
-                              done.stderr.decode(), re.M))
+@functools.lru_cache(maxsize=None)
+def _cold_call(case):
+    """The stdout of a COLD_CALLS case and the modules it imported, read from
+    its -X importtime lines: one subprocess per case however many tests ask."""
+    done = _python_s("-X", "importtime", *COLD_CALLS[case][0])
+    imported = frozenset(re.findall(r"^import time: +\d+ \| +\d+ \| +(\S+)$",
+                                    done.stderr.decode(), re.M))
     assert "rtfinite.positivity" in imported  # the import lines were read
+    return done.stdout, imported
+
+
+@pytest.mark.parametrize("case", COLD_CALLS)
+def test_cold_start_loads_only_the_allowlist(case, cold_start_allowlist):
+    stdout, imported = _cold_call(case)
+    sha = COLD_CALLS[case][1]
+    if sha is None:
+        assert stdout == b""
+    else:
+        assert hashlib.sha256(stdout).hexdigest()[:16] == sha
     outside = {name for name in imported if name.partition(".")[0] != "rtfinite"}
     assert outside - cold_start_allowlist == set()
+
+
+# The heaviest modules the allowlist keeps out, named one by one so that a
+# failure says which came back. Each reads the cold import case above.
+def _imported_by_cli(module: str) -> bool:
+    """Whether a fresh interpreter has imported module after importing rtfinite.cli."""
+    return module in _cold_call("import")[1]
+
+
+def test_cli_import_leaves_sympy_out():
+    assert not _imported_by_cli("sympy")
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    assert not _imported_by_cli("concurrent.futures.process")
+
+
+# json is imported by the json writer alone, so csv and text calls skip it
+def test_cli_import_leaves_json_out():
+    assert not _imported_by_cli("json")
+
+
+# fractions (which imports decimal) is imported by the lattice norms alone
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+def test_cli_import_leaves_the_rational_numbers_out(module):
+    assert not _imported_by_cli(module)
+
+
+# the option table needs neither argparse nor its gettext and locale lookups,
+# and the csv rows are joined by hand
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale", "csv"])
+def test_cli_import_leaves_argparse_and_csv_out(module):
+    assert not _imported_by_cli(module)
+
+
+# dataclasses imports inspect, dis, ast and tokenize: the records are named
+# tuples so that no call pays for them at start-up
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_import_leaves_the_dataclass_machinery_out(module):
+    assert not _imported_by_cli(module)
 
 
 class TestSizeLimits:

@@ -33,9 +33,15 @@ class TestAgainstSympy:
     @given(N)
     @settings(max_examples=400, deadline=None)
     def test_mobius(self, n):
-        # the table lists exactly the divisors e of n with n/e squarefree, and
-        # each with its weight e * mu(n/e)
+        # every weight of the table is e * mu(n/e), and no nonzero one is missing
         assert ramanujan_weights(n) == sympy_weights(n)
+
+    @given(N)
+    @settings(max_examples=400, deadline=None)
+    def test_divisors(self, n):
+        # the table lists exactly the divisors e of n with n/e squarefree
+        assert [e for e, _ in ramanujan_weights(n)] == [
+            e for e in sympy.divisors(n) if sympy.mobius(n // e)]
 
     @given(st.integers(0, 10**4), st.integers(0, 10**4))
     @settings(max_examples=200, deadline=None)
